@@ -52,8 +52,8 @@ def report():
 
 
 def test_engine_fast_path_beats_reference(report):
-    """The event-skipping core must crush slot-by-slot stepping on the
-    idle-heavy workload (hardware-independent ratio; the win there is
+    """The event-skipping core must crush the slot-by-slot reference
+    stepping of :mod:`repro.verify.reference` on the idle-heavy workload (hardware-independent ratio; the win there is
     ~7x, so 3.0 leaves ample noise headroom).  On the busier standard
     workload skipping engages rarely, so only require no regression."""
     assert report["engine_idle"]["skip_speedup"] > 3.0
@@ -184,8 +184,8 @@ def test_storm_10k_speedup_vs_committed_baseline():
     pre-optimization baseline (incremental demand ledger + exact
     integer-scaled accumulation vs the naive recompute pipeline).
 
-    Hardware-normalized by the object-core engine burst at the same
-    size: the object engine is untouched by the demand work, so its
+    Hardware-normalized by the engine burst at the same size: the
+    engine is untouched by the demand work, so its
     throughput ratio against the committed figure is a pure machine
     proxy.  Both sides take the best of three runs — on a shared box
     a throttled outlier is far more likely than a fast one, and a
@@ -211,68 +211,3 @@ def test_storm_10k_speedup_vs_committed_baseline():
         f"storm 10k speedup {speedup:.2f}x at hardware scale "
         f"{hardware:.2f} — below the 2x floor"
     )
-
-
-def test_parallel_static_speedup_at_10k():
-    """The forked static phase must hit >=2x vs serial at N=10000.
-
-    Hardware-normalized by construction: serial and parallel arms run
-    back to back on the same box, same workload, byte-identical
-    output — the ratio is pure code.  Needs real cores to mean
-    anything, so the gate only runs where the fan-out can physically
-    win; the nightly ladder provides that hardware.
-    """
-    import os as _os
-
-    from repro.core.parallel_gen import fork_available
-
-    if not fork_available():
-        pytest.skip("fork start method absent")
-    cores = _os.cpu_count() or 1
-    if cores < 4:
-        pytest.skip(f"needs >=4 cores for the 2x floor (have {cores})")
-    from repro.bench import bench_scale_static
-
-    # Best of two per arm: shared-box throttling hits single runs.
-    serial = min(
-        bench_scale_static(10000)["seconds"] for _ in range(2)
-    )
-    runs = [
-        bench_scale_static(10000, parallel_static=True) for _ in range(2)
-    ]
-    assert all(r["parallel"]["mode"] == "parallel" for r in runs)
-    parallel = min(r["seconds"] for r in runs)
-    speedup = serial / parallel
-    assert speedup >= 2.0, (
-        f"parallel static at N=10000: {speedup:.2f}x "
-        f"({serial:.3f}s serial vs {parallel:.3f}s on {cores} cores) "
-        "— below the 2x floor"
-    )
-
-
-def test_parallel_static_arm_identity_smoke():
-    """Bench-level identity smoke on any box: the parallel arm's
-    allocation produces the same cell count and cache miss profile as
-    serial (full byte certification lives in the property suite)."""
-    from repro.bench import bench_scale_static
-    from repro.core.parallel_gen import fork_available
-
-    serial = bench_scale_static(1000)
-    if not fork_available():
-        pytest.skip("fork start method absent")
-    parallel = bench_scale_static(1000, parallel_static=2)
-    assert parallel["cells"] == serial["cells"]
-    assert parallel["cache"]["misses"] <= serial["cache"]["misses"]
-
-
-def test_engine_array_core_matches_object_core():
-    """Bench-level identity smoke: the struct-of-arrays core must
-    reproduce the object core's outcome exactly (the full bitwise
-    certification lives in tests/net/test_engine_array.py)."""
-    pytest.importorskip("numpy")
-    from repro.bench import bench_scale_engine
-
-    obj = bench_scale_engine(1000)
-    arr = bench_scale_engine(1000, array_core=True)
-    assert arr["delivered"] == obj["delivered"]
-    assert arr["generated"] == obj["generated"]

@@ -9,8 +9,9 @@ paths are timed:
   *standard* load (rate 0.2 — moderately busy, the seed baseline's
   workload) and an *idle-heavy* load (rate 0.02 — mostly empty slots,
   exactly where the event-skipping core pays off).  Both the fast path
-  and the slot-by-slot reference path are timed on each so the skip
-  win is visible in isolation.
+  and the slot-by-slot reference stepping
+  (:func:`repro.verify.reference.run_slots_stepped`) are timed on each
+  so the skip win is visible in isolation.
 * **composition** — Algorithm-1 compositions per second over a mixed
   pool of child multisets, cold (no cache) and with the
   :class:`~repro.packing.composition.CompositionCache` warm.
@@ -38,13 +39,21 @@ import random
 import subprocess
 import sys
 import time
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
+from .core.interface_gen import InterfaceTable, generate_node_interface
 from .core.manager import HarpNetwork
 from .net.sim.engine import TSCHSimulator
 from .net.slotframe import SlotframeConfig
-from .net.tasks import Task, e2e_task_per_node
-from .net.topology import layered_random_tree, regular_tree
+from .net.tasks import Task, demands_by_parent, e2e_task_per_node
+from .net.topology import (
+    Direction,
+    LinkRef,
+    TreeTopology,
+    layered_random_tree,
+    regular_tree,
+)
 from .packing.composition import CompositionCache, compose_components
 from .packing.geometry import Rect
 
@@ -60,7 +69,7 @@ SEED_BASELINE: Dict[str, float] = {
 }
 
 
-def _engine_sim(event_skipping: bool, rate: float = 0.2) -> TSCHSimulator:
+def _engine_sim(rate: float = 0.2) -> TSCHSimulator:
     """The engine workload: 40 nodes, e2e traffic at ``rate`` packets
     per task per slotframe, TTL tracking on.  Rate 0.2 is the standard
     (seed-comparable) load; rate 0.02 is the idle-heavy variant."""
@@ -76,27 +85,33 @@ def _engine_sim(event_skipping: bool, rate: float = 0.2) -> TSCHSimulator:
         config,
         rng=random.Random(7),
         max_packet_age_slots=1000,
-        event_skipping=event_skipping,
     )
 
 
 def bench_engine(
     slotframes: int = 400,
-    event_skipping: bool = True,
+    reference: bool = False,
     repeats: int = 3,
     rate: float = 0.2,
 ) -> Dict[str, float]:
     """Engine throughput in slots/second (plus outcome checksums).
 
-    Best of ``repeats`` fresh runs: wall-clock on a shared box is noisy
-    and the fastest run is the closest estimate of the code's cost.
+    ``reference`` times the slot-by-slot reference stepping instead of
+    the production event-skipping ``run_slots``.  Best of ``repeats``
+    fresh runs: wall-clock on a shared box is noisy and the fastest run
+    is the closest estimate of the code's cost.
     """
+    from .verify.reference import run_slots_stepped
+
     best = None
     for _ in range(repeats):
-        sim = _engine_sim(event_skipping, rate)
+        sim = _engine_sim(rate)
         slots = slotframes * sim.config.num_slots
         start = time.perf_counter()
-        sim.run_slots(slots)
+        if reference:
+            run_slots_stepped(sim, slots)
+        else:
+            sim.run_slots(slots)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -183,16 +198,12 @@ SCALE_DEPTH = 8
 #: engine_slotframes=3, seed=7).  ``None`` marks sizes the naive code
 #: was never measured at.
 #:
-#: The 10000/100000 entries were added by the incremental-demand /
-#: array-core PR, measured on *its* reference machine against the
-#: pre-PR code: the storm figure is the naive demand pipeline before
-#: the exact integer-scaled accumulation landed (the
-#: ``incremental=False`` flag alone no longer reproduces it — the
-#: summation rewrite sped the naive path up too), and the engine
-#: figures are the object core's best-of-several peak (re-measurable
-#: via ``bench_scale_engine(n, array_core=False)`` — peak, because a
-#: shared box throttles individual runs far more often than it speeds
-#: them up).
+#: The 10000/100000 entries were added with the incremental demand
+#: ledger, measured on *its* reference machine against the pre-ledger
+#: code: the storm figure is the naive demand pipeline before the exact
+#: integer-scaled accumulation landed, and the engine figures are the
+#: engine's best-of-several peak (peak, because a shared box throttles
+#: individual runs far more often than it speeds them up).
 SCALE_BASELINE: Dict[str, Dict[str, Optional[float]]] = {
     "static_seconds": {"100": 0.028, "1000": 0.222, "5000": 1.717},
     "storm_seconds": {
@@ -215,61 +226,44 @@ def _scale_network(n: int, seed: int = 7, rate: float = 1.0):
     return topology, tasks, config
 
 
-def bench_scale_static(
-    n: int, seed: int = 7, parallel_static=False
-) -> Dict[str, object]:
+def bench_scale_static(n: int, seed: int = 7) -> Dict[str, object]:
     """Static allocation + invariant validation wall time at ``n`` nodes.
 
-    ``parallel_static`` selects the forked static-phase fan-out
-    (``True`` = one worker per CPU, int = explicit worker count) —
-    byte-identical tables, so serial and parallel arms time the same
-    semantic work.  The returned ``cache`` block carries the
-    composition-cache counters of the run; a parallel run adds the
-    ``parallel`` stats block (mode, workers, cut depth, units).
+    The returned ``cache`` block carries the composition-cache counters
+    of the run.
     """
     topology, tasks, config = _scale_network(n, seed)
     start = time.perf_counter()
     harp = HarpNetwork(
-        topology, tasks, config, case1_slack=1, distribute_slack=True,
-        parallel_static=parallel_static,
+        topology, tasks, config, case1_slack=1, distribute_slack=True
     )
     harp.allocate()
     harp.validate()
     elapsed = time.perf_counter() - start
-    stats = harp.stats
-    out: Dict[str, object] = {
+    return {
         "seconds": elapsed,
         "nodes_per_sec": n / elapsed,
         "cells": float(harp.schedule.total_assignments),
-        "cache": stats["composition_cache"],
+        "cache": harp.stats["composition_cache"],
     }
-    if "parallel_static" in stats:
-        out["parallel"] = stats["parallel_static"]
-    return out
 
 
-def bench_scale_storm(
-    n: int, ops: int = 12, seed: int = 7, incremental: bool = True
-) -> Dict[str, float]:
+def bench_scale_storm(n: int, ops: int = 12, seed: int = 7) -> Dict[str, float]:
     """A scripted dynamics storm: rate changes, joins, parent switches
     and leaves interleaved on one allocated network.
 
     The op script is a pure function of (n, ops, seed) and of the
     network state it evolves, so pre- and post-optimization code does
     the identical semantic work — the numbers compare like for like.
-    ``incremental=False`` is the ablation: naive full-recompute demand
-    maintenance instead of the :class:`~repro.core.demand.DemandLedger`
-    (byte-identical results, per the equivalence property suite).
     """
     from .core.dynamics import TopologyManager
 
     topology, tasks, config = _scale_network(n, seed)
     harp = HarpNetwork(
-        topology, tasks, config, case1_slack=1, distribute_slack=True,
-        incremental_demand=incremental,
+        topology, tasks, config, case1_slack=1, distribute_slack=True
     )
     harp.allocate()
-    manager = TopologyManager(harp, incremental=incremental)
+    manager = TopologyManager(harp)
     rng = random.Random(seed * 1000 + n)
     next_id = max(harp.topology.nodes) + 1
     succeeded = 0
@@ -322,15 +316,10 @@ def bench_scale_storm(
 
 
 def bench_scale_engine(
-    n: int, slotframes: int = 3, seed: int = 7, array_core: bool = False
+    n: int, slotframes: int = 3, seed: int = 7
 ) -> Dict[str, float]:
     """Engine burst at ``n`` nodes: light traffic over a wide slotframe,
-    exactly where the event-skipping core should shine.
-
-    ``array_core=True`` selects the struct-of-arrays engine core
-    (bitwise-identical metrics, certified by the oracle suite) — the
-    configuration that makes the N=100000 rung tractable.
-    """
+    exactly where the event-skipping core should shine."""
     topology, tasks, config = _scale_network(n, seed, rate=0.05)
     harp = HarpNetwork(
         topology, tasks, config, case1_slack=1, distribute_slack=True
@@ -340,8 +329,6 @@ def bench_scale_engine(
         topology, harp.schedule, tasks, config,
         rng=random.Random(seed),
         max_packet_age_slots=10 * config.num_slots,
-        event_skipping=True,
-        array_core=array_core,
     )
     slots = slotframes * config.num_slots
     start = time.perf_counter()
@@ -355,9 +342,7 @@ def bench_scale_engine(
     }
 
 
-#: The default scale-suite arms, in run order.  ``static_parallel`` is
-#: opt-in (via ``parallel_static``): it re-runs the static phase on the
-#: forked worker pool, which only means something on a multi-core box.
+#: The scale-suite arms, in run order.
 SCALE_ARMS = ("static", "storm", "engine")
 
 
@@ -366,9 +351,7 @@ def run_scale_benchmarks(
     storm_ops: int = 12,
     engine_slotframes: int = 3,
     seed: int = 7,
-    array_core: bool = False,
     arms: Optional[Sequence[str]] = None,
-    parallel_static=False,
 ) -> Dict[str, object]:
     """Run the scaling suite and assemble its report section.
 
@@ -379,13 +362,6 @@ def run_scale_benchmarks(
     smoke burned storm/engine time it never looked at.
     ``speedup_vs_baseline`` compares against the committed
     pre-optimization :data:`SCALE_BASELINE` where that was measured.
-    ``array_core=True`` runs the engine burst on the struct-of-arrays
-    core — required for the N=100000 rung to finish in nightly budget.
-    ``parallel_static`` adds a ``static_parallel`` point per size (the
-    same allocation on the forked worker pool, byte-identical tables)
-    plus a ``static_parallel`` speedup entry when the serial arm also
-    ran — the serial-vs-parallel comparison is same-box, so it is
-    hardware-normalized by construction.
     """
     chosen = tuple(arms) if arms is not None else SCALE_ARMS
     unknown = set(chosen) - set(SCALE_ARMS)
@@ -399,27 +375,16 @@ def run_scale_benchmarks(
         point: Dict[str, Dict[str, float]] = {}
         if "static" in chosen:
             point["static"] = bench_scale_static(n, seed)
-        if parallel_static:
-            point["static_parallel"] = bench_scale_static(
-                n, seed, parallel_static=parallel_static
-            )
         if "storm" in chosen:
             point["storm"] = bench_scale_storm(n, storm_ops, seed)
         if "engine" in chosen:
-            point["engine"] = bench_scale_engine(
-                n, engine_slotframes, seed, array_core=array_core
-            )
+            point["engine"] = bench_scale_engine(n, engine_slotframes, seed)
         points[str(n)] = point
         point_speedups: Dict[str, float] = {}
         base_static = SCALE_BASELINE["static_seconds"].get(str(n))
         if base_static and "static" in point:
             point_speedups["static"] = (
                 base_static / point["static"]["seconds"]
-            )
-        if "static" in point and "static_parallel" in point:
-            point_speedups["static_parallel"] = (
-                point["static"]["seconds"]
-                / point["static_parallel"]["seconds"]
             )
         base_storm = SCALE_BASELINE["storm_seconds"].get(str(n))
         if base_storm and "storm" in point:
@@ -438,13 +403,7 @@ def run_scale_benchmarks(
         "storm_ops": storm_ops,
         "engine_slotframes": engine_slotframes,
         "seed": seed,
-        "array_core": array_core,
         "arms": list(chosen),
-        "parallel_static": (
-            int(parallel_static)
-            if not isinstance(parallel_static, bool)
-            else parallel_static
-        ),
         "points": points,
         "baseline": {k: dict(v) for k, v in SCALE_BASELINE.items()},
         "speedup_vs_baseline": speedups,
@@ -455,14 +414,12 @@ def render_scale_report(scale: Dict[str, object]) -> str:
     """Human-readable scaling table.
 
     Tolerates missing arms (the suite only runs what ``arms`` asked
-    for) and appends per-size composition-cache counters plus the
-    parallel-static arm when those ran.
+    for) and appends per-size composition-cache counters when the
+    static arm ran.
     """
     lines = [
-        "   nodes   static s   par-stat s     storm s    storm op/s"
-        "   engine slots/s",
-        "  ------  ----------  ----------  ----------  -----------"
-        "  ---------------",
+        "   nodes   static s     storm s    storm op/s   engine slots/s",
+        "  ------  ----------  ----------  -----------  ---------------",
     ]
 
     def _num(point, arm, key, width, fmt):
@@ -476,41 +433,26 @@ def render_scale_report(scale: Dict[str, object]) -> str:
         lines.append(
             f"  {n:>6}  "
             f"{_num(p, 'static', 'seconds', 10, '.3f')}  "
-            f"{_num(p, 'static_parallel', 'seconds', 10, '.3f')}  "
             f"{_num(p, 'storm', 'seconds', 10, '.3f')}  "
             f"{_num(p, 'storm', 'ops_per_sec', 11, '.2f')}  "
             f"{_num(p, 'engine', 'slots_per_sec', 15, ',.0f')}"
         )
     cache_lines = []
     for n in scale["sizes"]:
-        p = scale["points"][str(n)]
-        for arm in ("static", "static_parallel"):
-            sub = p.get(arm)
-            cache = (sub or {}).get("cache")
-            if not cache:
-                continue
-            extra = ""
-            par = sub.get("parallel")
-            if par:
-                extra = (
-                    f", {par['mode']} x{par['workers']}"
-                    f" cut={par['cut_depth']} units={par['units']}"
-                )
+        cache = (scale["points"][str(n)].get("static") or {}).get("cache")
+        if cache:
             cache_lines.append(
-                f"  N={n:<6} {arm:<15} "
-                f"hits={cache['hits']} misses={cache['misses']} "
-                f"delta_merges={cache['delta_merges']}{extra}"
+                f"  N={n:<6} hits={cache['hits']} misses={cache['misses']}"
             )
     if cache_lines:
         lines.append("")
-        lines.append("composition cache (per static arm):")
+        lines.append("composition cache (static arm):")
         lines.extend(cache_lines)
     speedups = scale.get("speedup_vs_baseline") or {}
     if speedups:
         lines.append("")
         lines.append(
-            "speedup vs pre-optimization baseline (same scenarios;"
-            " static_parallel = serial/parallel, same box):"
+            "speedup vs pre-optimization baseline (same scenarios):"
         )
         for n, per in sorted(speedups.items(), key=lambda kv: int(kv[0])):
             parts = ", ".join(
@@ -631,17 +573,85 @@ def collect_meta(seed: Optional[int] = None) -> Dict[str, object]:
     return meta
 
 
+@dataclass
+class WaveRow:
+    """One depth wave of an instrumented static pass."""
+
+    depth: int
+    nodes: int = 0
+    compositions: int = 0
+    seconds: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+
+def static_wave_profile(
+    topology: TreeTopology,
+    link_demands: Mapping[LinkRef, int],
+    num_channels: int,
+    case1_slack: int = 0,
+    cache: Optional[CompositionCache] = None,
+) -> List[WaveRow]:
+    """Time the bottom-up static pass (both directions) node by node.
+
+    Each non-leaf node's :func:`~repro.core.interface_gen.
+    generate_node_interface` call is timed, and its Algorithm-1
+    compositions and cache hits/misses are read off the table and the
+    :class:`CompositionCache` counters around the call.  Returns one
+    row per depth wave, deepest first.
+    """
+    if cache is None:
+        cache = CompositionCache()
+    rows: Dict[int, WaveRow] = {}
+    for direction in (Direction.UP, Direction.DOWN):
+        table = InterfaceTable(direction=direction)
+        per_parent = demands_by_parent(topology, link_demands, direction)
+        for node in topology.nodes_bottom_up():
+            if topology.is_leaf(node):
+                continue
+            depth = topology.depth_of(node)
+            row = rows.setdefault(depth, WaveRow(depth=depth))
+            hits, misses = cache.hits, cache.misses
+            layouts = len(table.layouts)
+            start = time.perf_counter()
+            generate_node_interface(
+                topology, table, node, per_parent.get(node, {}),
+                num_channels, case1_slack, cache,
+            )
+            row.seconds += time.perf_counter() - start
+            row.nodes += 1
+            row.compositions += len(table.layouts) - layouts
+            row.cache_hits += cache.hits - hits
+            row.cache_misses += cache.misses - misses
+    return [rows[d] for d in sorted(rows, reverse=True)]
+
+
+def render_wave_profile(rows: Sequence[WaveRow]) -> str:
+    """Human-readable per-wave table (both directions aggregated)."""
+    lines = [
+        "  wave   nodes  compositions   seconds   hit/miss",
+        "  ----  ------  ------------  --------  ---------",
+    ]
+    for row in rows:
+        lines.append(
+            f"  d={row.depth:<3} {row.nodes:>6}  {row.compositions:>12}  "
+            f"{row.seconds:>8.4f}  {row.cache_hits:>4}/{row.cache_misses}"
+        )
+    lines.append(
+        f"  total {sum(r.seconds for r in rows):.4f}s "
+        f"over {sum(r.nodes for r in rows)} node visits"
+    )
+    return "\n".join(lines)
+
+
 def profile_scenario(
     scenario: str, size: int = 1000, top: int = 25, seed: int = 7
 ) -> str:
     """cProfile one scale scenario; returns the top-``top`` cumulative
     hot spots as text (the ``repro profile`` command).
 
-    For the ``static`` scenario the cProfile listing is preceded by a
-    per-wave breakdown of the bottom-up static phase: one row per tree
-    depth with nodes composed, compositions run, compose vs Case-1 pack
-    time and cache hit/miss counts — the view that tells you which
-    waves the parallel fan-out can actually win on.
+    For the ``static`` scenario the cProfile listing is preceded by the
+    per-wave breakdown of :func:`static_wave_profile`.
     """
     import cProfile
     import io
@@ -658,8 +668,6 @@ def profile_scenario(
         )
     prefix = ""
     if scenario == "static":
-        from .core.parallel_gen import render_wave_profile, static_wave_profile
-
         topology, tasks, config = _scale_network(size, seed)
         rows = static_wave_profile(
             topology,
@@ -689,10 +697,10 @@ def run_benchmarks(
     workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run the full benchmark set and assemble the report dict."""
-    engine_fast = bench_engine(slotframes, event_skipping=True)
-    engine_slow = bench_engine(slotframes, event_skipping=False)
-    idle_fast = bench_engine(slotframes, event_skipping=True, rate=0.02)
-    idle_slow = bench_engine(slotframes, event_skipping=False, rate=0.02)
+    engine_fast = bench_engine(slotframes)
+    engine_slow = bench_engine(slotframes, reference=True)
+    idle_fast = bench_engine(slotframes, rate=0.02)
+    idle_slow = bench_engine(slotframes, reference=True, rate=0.02)
     comp_cold = bench_composition(cached=False)
     comp_cached = bench_composition(cached=True)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..net.tasks import Task, TaskSet, demands_by_parent, demands_for_parent
+from ..net.tasks import Task, TaskSet, demands_for_parent
 from ..net.topology import Direction, LinkRef, TreeTopology
 from .adjustment import AdjustmentOutcome
 from .demand import LedgerError
@@ -79,25 +79,17 @@ class _IncrementalFailure(RuntimeError):
 class TopologyManager:
     """Applies topology changes to a live :class:`HarpNetwork`.
 
-    ``incremental`` selects O(affected) demand maintenance through the
-    network's :class:`~repro.core.demand.DemandLedger` plus dirty-set
-    reconciliation (only managers whose demands or schedules an op could
-    have touched are re-checked).  Defaults to whether the network keeps
-    a ledger; ``False`` forces the naive full-recompute/full-scan path,
-    kept as the equivalence oracle — both paths are certified to yield
-    byte-identical demands and schedules by the property suite and the
-    replayed fuzz corpus.
+    Demands are maintained in O(affected links) through the network's
+    :class:`~repro.core.demand.DemandLedger`, and only managers whose
+    demands or schedules an op could have touched (the *dirty set*) are
+    re-checked.  The naive full-recompute/full-scan path is the test
+    reference :class:`repro.verify.reference.ReferenceTopologyManager`;
+    the property suite certifies both yield byte-identical demands and
+    schedules.
     """
 
-    def __init__(
-        self, harp: HarpNetwork, incremental: Optional[bool] = None
-    ) -> None:
+    def __init__(self, harp: HarpNetwork) -> None:
         self.harp = harp
-        self.incremental = (
-            incremental
-            if incremental is not None
-            else harp.demand_ledger is not None
-        )
 
     # ------------------------------------------------------------------
     # public operations
@@ -204,30 +196,18 @@ class TopologyManager:
         harp.adjuster.topology = new_topology
         harp.task_set = new_tasks
         harp.priority = rate_monotonic_priority(new_tasks)
-        if self.incremental and harp.demand_ledger is not None:
-            try:
-                harp.demand_ledger.apply_change(
-                    kind, node, old_topology, new_topology,
-                    old_tasks, new_tasks,
-                )
-            except LedgerError:
-                harp.demand_ledger.rebuild(new_topology, new_tasks)
-            harp.link_demands = dict(harp.demand_ledger.demands)
-        else:
-            if harp.demand_ledger is not None:
-                harp.demand_ledger.rebuild(new_topology, new_tasks)
-            harp.link_demands = dict(new_tasks.link_demands(new_topology))
+        self._update_demands(
+            kind, node, old_topology, new_topology, old_tasks, new_tasks
+        )
 
         # Managers whose demands or schedules this op can have touched:
         # the moved subtree, both paths, and (below) every node an
         # adjustment involved.  Only these need reconciliation — all
         # others were left fully covered by the previous op's step 5.
-        dirty: Optional[Set[int]] = None
-        if self.incremental:
-            dirty = set(moved)
-            dirty.update(old_managers)
-            if node in new_topology:
-                dirty.update(new_topology.path_to_gateway(node))
+        dirty = set(moved)
+        dirty.update(old_managers)
+        if node in new_topology:
+            dirty.update(new_topology.path_to_gateway(node))
 
         try:
             # 3. Re-register the subtree's interfaces with their new
@@ -243,10 +223,9 @@ class TopologyManager:
                 if manager in harp.topology:
                     for direction in (Direction.UP, Direction.DOWN):
                         harp._reschedule_node(manager, direction)
-            if dirty is not None:
-                for outcome in report.outcomes:
-                    dirty.update(outcome.involved_nodes)
-                    dirty.update(key[0] for key in outcome.moved_partitions)
+            for outcome in report.outcomes:
+                dirty.update(outcome.involved_nodes)
+                dirty.update(key[0] for key in outcome.moved_partitions)
             # 5. Safety net: every remaining link must cover its demand.
             self._reconcile_managers(report, dirty)
             if not report.success:
@@ -261,6 +240,27 @@ class TopologyManager:
             report.static_messages = static.total_messages
             harp.validate()
         return report
+
+    def _update_demands(
+        self,
+        kind: str,
+        node: int,
+        old_topology: TreeTopology,
+        new_topology: TreeTopology,
+        old_tasks: TaskSet,
+        new_tasks: TaskSet,
+    ) -> None:
+        """Apply the op's O(affected links) delta to the ledger (a
+        diverged ledger is rebuilt — the named fallback) and publish the
+        result as the network's link demands."""
+        ledger = self.harp.demand_ledger
+        try:
+            ledger.apply_change(
+                kind, node, old_topology, new_topology, old_tasks, new_tasks
+            )
+        except LedgerError:
+            ledger.rebuild(new_topology, new_tasks)
+        self.harp.link_demands = dict(ledger.demands)
 
     def _purge_subtree(
         self, moved: Set[int], root: int, old_parent: Optional[int]
@@ -383,24 +383,16 @@ class TopologyManager:
                 if not outcome.success:
                     return
 
-    def _verify_coverage(self, dirty: Optional[Set[int]] = None) -> None:
+    def _verify_coverage(self, dirty: Set[int]) -> None:
         """Every link must hold at least its demand, or the incremental
         path has failed and a re-bootstrap is required.
 
-        With a ``dirty`` set, only links managed by dirty nodes are
-        checked: all other links kept both their demand and their
-        schedule cells (the previous op ended fully covered), so the
-        restricted check certifies the same invariant.
+        Only links managed by dirty nodes are checked: all other links
+        kept both their demand and their schedule cells (the previous op
+        ended fully covered), so the restricted check certifies the same
+        invariant.
         """
         harp = self.harp
-        if dirty is None:
-            for link, demand in harp.link_demands.items():
-                if len(harp.schedule.cells_of(link)) < demand:
-                    raise _IncrementalFailure(
-                        f"link {link} holds fewer cells than its "
-                        f"demand {demand}"
-                    )
-            return
         topology = harp.topology
         demands = harp.link_demands
         for manager in dirty:
@@ -417,57 +409,37 @@ class TopologyManager:
                         )
 
     def _reconcile_managers(
-        self,
-        report: TopologyChangeReport,
-        dirty: Optional[Set[int]] = None,
+        self, report: TopologyChangeReport, dirty: Set[int]
     ) -> None:
-        """Ensure every link's schedule covers its (new) demand; shrunk
-        managers reschedule inside their unchanged partitions.
+        """Ensure every dirty manager's links cover their (new) demand;
+        shrunk managers reschedule inside their unchanged partitions.
 
-        With a ``dirty`` set only those managers are examined.  Each
-        manager's reschedule depends only on its own demands, partition
-        and the global priority order, so skipping provably-untouched
-        managers leaves the resulting schedule byte-identical to the
-        full scan (asserted by the equivalence property suite).
+        Each manager's reschedule depends only on its own demands,
+        partition and the global priority order, so skipping
+        provably-untouched managers leaves the resulting schedule
+        byte-identical to the full scan (asserted by the equivalence
+        property suite).
         """
         harp = self.harp
-        if dirty is not None:
-            topology = harp.topology
-            for direction in (Direction.UP, Direction.DOWN):
-                for manager in sorted(dirty):
-                    if manager not in topology:
-                        continue
-                    children = topology.children_of(manager)
-                    if not children:
-                        continue
-                    demands = demands_for_parent(
-                        topology, harp.link_demands, manager, direction
-                    )
-                    if not demands:
-                        # Lost all demand: drop stale cells.
-                        harp._reschedule_node(manager, direction)
-                        continue
-                    satisfied = all(
-                        len(harp.schedule.cells_of(LinkRef(child, direction)))
-                        >= cells
-                        for child, cells in demands.items()
-                    )
-                    if not satisfied:
-                        harp._reschedule_node(manager, direction)
-            return
+        topology = harp.topology
         for direction in (Direction.UP, Direction.DOWN):
-            per_parent = demands_by_parent(
-                harp.topology, harp.link_demands, direction
-            )
-            for manager, demands in sorted(per_parent.items()):
+            for manager in sorted(dirty):
+                if manager not in topology:
+                    continue
+                children = topology.children_of(manager)
+                if not children:
+                    continue
+                demands = demands_for_parent(
+                    topology, harp.link_demands, manager, direction
+                )
+                if not demands:
+                    # Lost all demand: drop stale cells.
+                    harp._reschedule_node(manager, direction)
+                    continue
                 satisfied = all(
                     len(harp.schedule.cells_of(LinkRef(child, direction)))
                     >= cells
                     for child, cells in demands.items()
                 )
                 if not satisfied:
-                    harp._reschedule_node(manager, direction)
-            # Managers that lost all children must drop stale cells.
-            for manager in harp.topology.non_leaf_nodes():
-                if manager not in per_parent:
                     harp._reschedule_node(manager, direction)

@@ -137,11 +137,8 @@ def generate_node_interface(
     it into ``table``, assuming every deeper node in its subtree is
     already there.
 
-    Extracted from :func:`generate_interfaces` so the parallel static
-    phase (:mod:`repro.core.parallel_gen`) finishes the top-of-tree
-    nodes with *the same code object* the serial pass runs — the dict
-    insertion orders (components add-order, interfaces and layouts
-    key order) are part of the byte-identity contract.
+    The per-node step of :func:`generate_interfaces`, also timed node
+    by node by :func:`repro.bench.static_wave_profile`.
     """
     interface = ResourceInterface(owner=node, direction=table.direction)
     own_layer = topology.node_layer(node)

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..net.protocol.transport import ManagementPlane
 from ..net.slotframe import ConflictReport, Schedule, SlotframeConfig
-from ..net.tasks import TaskSet, demands_for_parent
+from ..net.tasks import Task, TaskSet, demands_for_parent
 from ..net.topology import Direction, LinkRef, TreeTopology
 from ..packing.composition import CompositionCache
 from .adjustment import AdjustmentOutcome, PartitionAdjuster
@@ -35,11 +35,6 @@ from .allocation import (
 )
 from .demand import DemandLedger
 from .interface_gen import InterfaceTable, generate_interfaces
-from .parallel_gen import (
-    ParallelStaticStats,
-    generate_static_tables,
-    resolve_workers,
-)
 from .link_sched import (
     PriorityFn,
     build_schedule,
@@ -137,26 +132,11 @@ class HarpNetwork:
         wider (e.g. across the networks of a sweep), or ``None``
         (default) for a private per-network cache.  Hit/miss counters
         are exposed as ``network.composition_cache.stats()``.
-    incremental_demand:
-        Maintain per-link demands incrementally through a
-        :class:`~repro.core.demand.DemandLedger` (O(affected links) per
-        dynamics op) instead of recomputing them from scratch.  Both
-        paths follow the exact summation-order contract of
-        :mod:`repro.net.tasks`, so results are byte-identical; the
-        naive path (``False``) is kept as the equivalence oracle.
-    parallel_static:
-        Fan the static phase's bottom-up interface generation out
-        across a forked worker pool (:mod:`repro.core.parallel_gen`):
-        ``True`` uses one worker per CPU, an int ``>= 2`` that many
-        workers, ``False`` (default) stays serial.  The resulting
-        tables are byte-identical to the serial pass; small trees fall
-        back to serial automatically (zero overhead), and a worker
-        crash falls back to serial without touching table or cache.
-        ``parallel_cut_depth`` pins the tree-cut depth (default: the
-        work-balance heuristic).  :meth:`rebootstrap` — and therefore
-        the :class:`~repro.core.dynamics.TopologyManager` fallback
-        path — inherits the setting.  What the pass actually did is
-        reported via :attr:`stats`.
+
+    Per-link demands are maintained incrementally by a
+    :class:`~repro.core.demand.DemandLedger` (O(affected links) per
+    dynamics op).  The naive full-recompute path survives only as the
+    test reference :class:`repro.verify.reference.ReferenceHarpNetwork`.
     """
 
     def __init__(
@@ -173,9 +153,6 @@ class HarpNetwork:
         interleave_cells: bool = False,
         compliant_ordering: bool = True,
         composition_cache: Optional[CompositionCache] = None,
-        incremental_demand: bool = True,
-        parallel_static: Union[bool, int] = False,
-        parallel_cut_depth: Optional[int] = None,
     ) -> None:
         self.topology = topology
         self.task_set = task_set
@@ -192,19 +169,10 @@ class HarpNetwork:
             composition_cache if composition_cache is not None
             else CompositionCache()
         )
-        self.parallel_static = parallel_static
-        self.parallel_cut_depth = parallel_cut_depth
-        self.parallel_stats: Optional[ParallelStaticStats] = None
-
-        self.demand_ledger: Optional[DemandLedger] = (
-            DemandLedger(topology, task_set) if incremental_demand else None
+        self.demand_ledger = DemandLedger(topology, task_set)
+        self.link_demands: Dict[LinkRef, int] = dict(
+            self.demand_ledger.demands
         )
-        if self.demand_ledger is not None:
-            self.link_demands: Dict[LinkRef, int] = dict(
-                self.demand_ledger.demands
-            )
-        else:
-            self.link_demands = dict(task_set.link_demands(topology))
         self.tables: Dict[Direction, InterfaceTable] = {}
         self.partitions = PartitionTable()
         self.plane = ManagementPlane(self.config, topology)
@@ -221,34 +189,17 @@ class HarpNetwork:
         """Run interface generation, partition allocation and distributed
         schedule generation.  Must be called before anything else."""
         report = StaticPhaseReport()
-        workers = resolve_workers(self.parallel_static)
-        if workers >= 2:
-            tables, self.parallel_stats = generate_static_tables(
+        for direction in (Direction.UP, Direction.DOWN):
+            table = generate_interfaces(
                 self.topology,
                 self.link_demands,
+                direction,
                 self.config.num_channels,
                 self.case1_slack,
-                self.composition_cache,
-                workers,
-                cut_depth=self.parallel_cut_depth,
+                cache=self.composition_cache,
             )
-            for direction in (Direction.UP, Direction.DOWN):
-                self.tables[direction] = tables[direction]
-                report.post_intf_messages += (
-                    tables[direction].post_intf_messages
-                )
-        else:
-            for direction in (Direction.UP, Direction.DOWN):
-                table = generate_interfaces(
-                    self.topology,
-                    self.link_demands,
-                    direction,
-                    self.config.num_channels,
-                    self.case1_slack,
-                    cache=self.composition_cache,
-                )
-                self.tables[direction] = table
-                report.post_intf_messages += table.post_intf_messages
+            self.tables[direction] = table
+            report.post_intf_messages += table.post_intf_messages
 
         self.partitions, report.allocation = allocate_partitions(
             self.topology, self.tables, self.config, self.allow_overflow,
@@ -292,16 +243,9 @@ class HarpNetwork:
     @property
     def stats(self) -> Dict[str, object]:
         """Observability counters: composition-cache traffic
-        (hits/misses/entries/delta merges) and — when the parallel
-        static phase ran — what it did (mode, workers, cut depth, work
-        units, fallbacks).  Counters only; never part of any result
+        (hits/misses/entries).  Counters only; never part of any result
         contract."""
-        doc: Dict[str, object] = {
-            "composition_cache": self.composition_cache.stats(),
-        }
-        if self.parallel_stats is not None:
-            doc["parallel_static"] = self.parallel_stats.to_dict()
-        return doc
+        return {"composition_cache": self.composition_cache.stats()}
 
     @property
     def adjuster(self) -> PartitionAdjuster:
@@ -330,14 +274,7 @@ class HarpNetwork:
             task_id=task_id, old_rate=task.rate, new_rate=new_rate
         )
         new_task_set = self.task_set.with_rate(task_id, new_rate)
-        if self.demand_ledger is not None:
-            # O(path) preview from the ledger's exact sums — identical
-            # to the full recompute under the summation-order contract.
-            new_demands = self.demand_ledger.preview_rate_change(
-                self.topology, task, new_rate
-            )
-        else:
-            new_demands = new_task_set.link_demands(self.topology)
+        new_demands = self._rate_change_demands(task, new_rate, new_task_set)
 
         affected = TaskSet.links_of_task(self.topology, task)
         # Deepest managing nodes first within each direction leg.
@@ -374,11 +311,20 @@ class HarpNetwork:
                 return report
             applied.append((link, old_demand))
 
-        if self.demand_ledger is not None:
-            self.demand_ledger.change_rate(self.topology, task, new_rate)
+        self.demand_ledger.change_rate(self.topology, task, new_rate)
         self.task_set = new_task_set
         self.priority = rate_monotonic_priority(self.task_set)
         return report
+
+    def _rate_change_demands(
+        self, task: Task, new_rate: float, new_task_set: TaskSet
+    ) -> Mapping[LinkRef, int]:
+        """Demands after ``task`` moves to ``new_rate``: an O(path)
+        preview from the ledger's exact sums, identical to the full
+        recompute under the summation-order contract."""
+        return self.demand_ledger.preview_rate_change(
+            self.topology, task, new_rate
+        )
 
     def _adjust_managing_node(self, link: LinkRef) -> AdjustmentOutcome:
         """Run the adjustment for the node managing ``link`` after
@@ -474,13 +420,8 @@ class HarpNetwork:
         The fallback for topology changes the incremental machinery
         cannot absorb; costs a whole static-phase message exchange.
         """
-        if self.demand_ledger is not None:
-            self.demand_ledger.rebuild(self.topology, self.task_set)
-            self.link_demands = dict(self.demand_ledger.demands)
-        else:
-            self.link_demands = dict(
-                self.task_set.link_demands(self.topology)
-            )
+        self.demand_ledger.rebuild(self.topology, self.task_set)
+        self.link_demands = dict(self.demand_ledger.demands)
         self.tables = {}
         self.partitions = PartitionTable()
         self._schedule = None

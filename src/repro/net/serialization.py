@@ -342,12 +342,6 @@ def dump_progress(sim) -> Dict[str, Any]:
     RNG is captured, so any loss model that samples only from it
     resumes exactly.
     """
-    core = getattr(sim, "_core", None)
-    if core is not None:
-        # Array-backed engines keep the authoritative queue/task state
-        # in numpy pools; project it onto the object mirrors first so
-        # the document is byte-identical to the object core's.
-        core.materialize_object_state()
     return {
         "kind": "engine-progress",
         "version": FORMAT_VERSION,
@@ -551,13 +545,6 @@ def restore_progress(sim, document: Dict[str, Any]) -> None:
     metrics.phase_marks = phase_marks
     for name, value in counters.items():
         setattr(metrics, name, value)
-
-    core = getattr(sim, "_core", None)
-    if core is not None:
-        # Re-derive the array pools from the freshly restored object
-        # state so the resumed run is bitwise identical regardless of
-        # which engine core wrote the snapshot.
-        core.ingest_object_state()
 
 
 # ----------------------------------------------------------------------

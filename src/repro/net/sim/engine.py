@@ -25,9 +25,9 @@ slot by slot only through slots where something can happen — an
 occupied cell with traffic queued, a task generation, a fault event, a
 packet-lifetime expiry — and jumps over idle stretches in bulk while
 keeping metrics and energy accounting slot-exact (skipped slots are
-sleep slots by construction).  Set ``event_skipping=False`` to force
-the slot-by-slot reference path; both paths produce bit-identical
-results (see ``tests/net/test_engine_fastpath.py``).
+sleep slots by construction).  The slot-by-slot reference stepping
+lives in :func:`repro.verify.reference.run_slots_stepped`; both produce
+bit-identical results (see ``tests/net/test_engine_fastpath.py``).
 """
 
 from __future__ import annotations
@@ -110,19 +110,6 @@ class TSCHSimulator:
         flushed at crash time and counted as ``fault_drops``), and a
         collapsed link's PDR is capped for the window.  Management-loss
         bursts are consumed by the live co-simulation layer, not here.
-    event_skipping:
-        When True (default) ``run_slots`` jumps over provably idle
-        slots in bulk; when False every slot is stepped individually
-        (the slow reference path).  Both produce identical results.
-    array_core:
-        When True the hot-path state (packet queues, task phases, TTL
-        tracking, per-cell schedule lookup) lives in preallocated
-        numpy arrays (:class:`~repro.net.sim.array_core.ArrayEngineCore`)
-        instead of per-packet objects.  Results are bit-identical to
-        the object engine — metrics, traces, energy, conservation
-        ledgers and progress documents all match — it is purely a
-        speed/memory representation for large networks.  Requires
-        numpy.
     """
 
     def __init__(
@@ -136,8 +123,6 @@ class TSCHSimulator:
         queue_capacity: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         max_packet_age_slots: Optional[int] = None,
-        event_skipping: bool = True,
-        array_core: bool = False,
     ) -> None:
         if max_packet_age_slots is not None and max_packet_age_slots < 1:
             raise ValueError(
@@ -150,7 +135,6 @@ class TSCHSimulator:
         self.rng = rng or random.Random(0)
         self.queue_capacity = queue_capacity
         self.max_packet_age_slots = max_packet_age_slots
-        self.event_skipping = event_skipping
         self.metrics = MetricsCollector(config)
         self.current_slot = 0
         self.traffic_enabled = True
@@ -168,15 +152,6 @@ class TSCHSimulator:
         self._downlink_q: Dict[int, Deque[Packet]] = {
             n: deque() for n in topology.nodes
         }
-        #: Optional struct-of-arrays representation of the hot-path
-        #: state; when present it is authoritative for queues, task
-        #: phases and schedule dispatch (the object containers above
-        #: become mirrors refreshed on serialization).
-        self._core = None
-        if array_core:
-            from .array_core import ArrayEngineCore
-
-            self._core = ArrayEngineCore(self)
         #: Packets currently queued anywhere (kept exact so the fast
         #: path can prove occupied slots idle when the network is empty).
         self._queued_total = 0
@@ -236,9 +211,6 @@ class TSCHSimulator:
         """
         self.topology = topology
         self._next_hop_cache = {}
-        if self._core is not None:
-            self._core.on_topology_change()
-            return
         for node in topology.nodes:
             self._uplink_q.setdefault(node, deque())
             self._downlink_q.setdefault(node, deque())
@@ -256,8 +228,6 @@ class TSCHSimulator:
             self._gen_heap,
             (max(0, math.ceil(next_generation)), task.task_id),
         )
-        if self._core is not None:
-            self._core.register_task(task, next_generation)
 
     def add_task(self, task: Task) -> None:
         """Register a task at runtime (a membership join or a recovered
@@ -276,12 +246,6 @@ class TSCHSimulator:
                 self._task_sources.pop(state.task.source, None)
             else:
                 self._task_sources[state.task.source] = count
-        if self._core is not None:
-            purged = self._core.purge_task(task_id)
-            self._queued_total -= purged
-            self.metrics.fault_drops += purged
-            self.metrics.dropped += purged
-            return purged
         purged = 0
         for queues in (self._uplink_q, self._downlink_q):
             for node, queue in queues.items():
@@ -302,9 +266,6 @@ class TSCHSimulator:
         """Change a task's generation rate from now on (Fig. 10)."""
         if rate <= 0:
             raise ValueError(f"rate must be > 0, got {rate}")
-        if self._core is not None:
-            self._core.set_task_rate(task_id, rate)
-            return
         state = self._tasks[task_id]
         from dataclasses import replace as dc_replace
 
@@ -319,11 +280,6 @@ class TSCHSimulator:
         )
 
     def _rebuild_slot_index(self) -> None:
-        if self._core is not None:
-            # The CSR lookup replaces the dict-of-lists index entirely.
-            self._slot_index = {}
-            self._occupied_frame_slots = self._core.rebuild_schedule()
-            return
         self._slot_index = {}
         for link in self.schedule.links:
             for cell in self.schedule.cells_of(link):
@@ -342,15 +298,11 @@ class TSCHSimulator:
     def run_slots(self, num_slots: int) -> MetricsCollector:
         """Advance the simulation by ``num_slots`` slots.
 
-        With ``event_skipping`` (the default) idle stretches are jumped
-        in bulk; the observable outcome is identical to stepping every
-        slot, including per-slot energy accounting.
+        Idle stretches are jumped in bulk; the observable outcome is
+        identical to stepping every slot, including per-slot energy
+        accounting.
         """
         end = self.current_slot + num_slots
-        if not self.event_skipping:
-            while self.current_slot < end:
-                self._step()
-            return self.metrics
         while self.current_slot < end:
             nxt = self._next_event_slot(end)
             if nxt > self.current_slot:
@@ -443,9 +395,6 @@ class TSCHSimulator:
         by expiry replaces the full queue scan; entries whose packet
         already left the network are dropped lazily.
         """
-        if self._core is not None:
-            self._core.expire_stale()
-            return
         heap = self._ttl_heap
         if not heap or heap[0][0] > self.current_slot:
             return
@@ -481,9 +430,6 @@ class TSCHSimulator:
 
     def _flush_node_queues(self, node: int) -> None:
         """A crash destroys the node's RAM: every queued packet is lost."""
-        if self._core is not None:
-            self._core.flush_node_queues(node)
-            return
         lost = 0
         for queues in (self._uplink_q, self._downlink_q):
             queue = queues.get(node)
@@ -507,9 +453,6 @@ class TSCHSimulator:
 
     def enable_traffic(self) -> None:
         """Resume packet generation from the current slot."""
-        if self._core is not None:
-            self._core.enable_traffic()
-            return
         self.traffic_enabled = True
         for task_id, state in self._tasks.items():
             state.next_generation = max(
@@ -521,9 +464,6 @@ class TSCHSimulator:
             )
 
     def _generate_packets(self) -> None:
-        if self._core is not None:
-            self._core.generate()
-            return
         if not self.traffic_enabled:
             return
         heap = self._gen_heap
@@ -604,9 +544,6 @@ class TSCHSimulator:
     # ------------------------------------------------------------------
 
     def _transmit(self) -> None:
-        if self._core is not None:
-            self._core.transmit()
-            return
         frame_slot = self.current_slot % self.config.num_slots
         entries = self._slot_index.get(frame_slot, [])
         if not entries:
@@ -810,8 +747,6 @@ class TSCHSimulator:
 
     def queued_packets(self) -> int:
         """Packets currently waiting in any queue."""
-        if self._core is not None:
-            return self._core.queued_packets()
         return sum(len(q) for q in self._uplink_q.values()) + sum(
             len(q) for q in self._downlink_q.values()
         )
@@ -828,8 +763,6 @@ class TSCHSimulator:
         fraction of an uplink backlog that will return downlink after
         the gateway turns it around (non-echo packets terminate at the
         gateway and never load the reverse path)."""
-        if self._core is not None:
-            return self._core.queued_at(nodes, direction, echo_only)
         queues = (
             self._uplink_q if direction is Direction.UP else self._downlink_q
         )
@@ -849,8 +782,6 @@ class TSCHSimulator:
         the way down, so measuring by holder (``queued_at``) misses it
         entirely for a subtree — this is the per-destination view the
         live layer sizes its downlink elastic boosts from."""
-        if self._core is not None:
-            return self._core.queued_into(nodes)
         wanted = set(nodes)
         return sum(
             1

@@ -26,7 +26,10 @@ This package certifies it mechanically at scale:
   crash/heal/roam/degrade/failover interleavings against
   :class:`~repro.agents.live.LiveHarpNetwork`, with livelock,
   bounded-reattach, move-count and collision-freedom oracles and
-  delta-debug shrinking over the event interleaving.
+  delta-debug shrinking over the event interleaving;
+* :mod:`reference` — the naive reference paths the production layers
+  are certified against: slot-by-slot engine stepping and full
+  recompute / full scan demand maintenance.
 """
 
 from .differential import diff_manager_vs_agents, diff_schedulers
@@ -64,7 +67,6 @@ from .fleet_oracle import (
 )
 from .oracles import (
     Violation,
-    check_parallel_equivalence,
     check_scenario_network,
     run_conservation,
 )
@@ -83,7 +85,6 @@ __all__ = [
     "check_fleet_campaign",
     "check_fleet_conservation",
     "check_fleet_determinism",
-    "check_parallel_equivalence",
     "check_scenario_network",
     "diff_manager_vs_agents",
     "diff_schedulers",

@@ -1,5 +1,6 @@
 """Equivalence of the event-skipping engine vs the slot-by-slot
-reference path: same seed, bit-identical observable state."""
+reference stepping (:func:`repro.verify.reference.run_slots_stepped`):
+same seed, bit-identical observable state."""
 
 import random
 from dataclasses import fields
@@ -13,10 +14,10 @@ from repro.net.sim.faults import FaultPlan, LinkPdrCollapse, NodeCrash
 from repro.net.slotframe import SlotframeConfig
 from repro.net.tasks import e2e_task_per_node
 from repro.net.topology import regular_tree
+from repro.verify.reference import run_slotframes_stepped
 
 
 def build_sim(
-    event_skipping,
     rate=0.2,
     seed=7,
     fault_plan=None,
@@ -38,7 +39,6 @@ def build_sim(
         rng=random.Random(seed),
         fault_plan=fault_plan,
         max_packet_age_slots=max_age,
-        event_skipping=event_skipping,
     )
     if energy:
         sim.energy = EnergyTracker(config)
@@ -71,9 +71,9 @@ def assert_equivalent(fast, slow):
 
 
 def test_basic_traffic_identical():
-    fast, slow = build_sim(True), build_sim(False)
+    fast, slow = build_sim(), build_sim()
     fast.run_slotframes(50)
-    slow.run_slotframes(50)
+    run_slotframes_stepped(slow, 50)
     assert_equivalent(fast, slow)
     assert len(fast.metrics.deliveries) > 0
 
@@ -81,20 +81,20 @@ def test_basic_traffic_identical():
 def test_lossy_channel_identical():
     """Loss sampling consumes the RNG only on attempts, so the stream
     stays aligned across skipped stretches."""
-    fast = build_sim(True, loss=UniformPDR(0.8))
-    slow = build_sim(False, loss=UniformPDR(0.8))
+    fast = build_sim(loss=UniformPDR(0.8))
+    slow = build_sim(loss=UniformPDR(0.8))
     fast.run_slotframes(40)
-    slow.run_slotframes(40)
+    run_slotframes_stepped(slow, 40)
     assert_equivalent(fast, slow)
     assert fast.metrics.loss_failures > 0
 
 
 def test_ttl_expiry_identical():
     """Packet-lifetime enforcement must fire on the exact same slots."""
-    fast = build_sim(True, rate=1.5, max_age=150)
-    slow = build_sim(False, rate=1.5, max_age=150)
+    fast = build_sim(rate=1.5, max_age=150)
+    slow = build_sim(rate=1.5, max_age=150)
     fast.run_slotframes(40)
-    slow.run_slotframes(40)
+    run_slotframes_stepped(slow, 40)
     assert_equivalent(fast, slow)
 
 
@@ -110,10 +110,10 @@ def test_fault_plan_identical():
             LinkPdrCollapse(child=3, start_slot=900, end_slot=1600, pdr=0.3),
         ),
     )
-    fast = build_sim(True, fault_plan=plan, max_age=400)
-    slow = build_sim(False, fault_plan=plan, max_age=400)
+    fast = build_sim(fault_plan=plan, max_age=400)
+    slow = build_sim(fault_plan=plan, max_age=400)
     fast.run_slotframes(40)
-    slow.run_slotframes(40)
+    run_slotframes_stepped(slow, 40)
     assert_equivalent(fast, slow)
     assert fast.metrics.fault_drops > 0
 
@@ -121,10 +121,10 @@ def test_fault_plan_identical():
 def test_energy_accounting_identical():
     """Per-slot energy charging must match exactly: skipped slots are
     provably sleep-only and charged in bulk."""
-    fast = build_sim(True, energy=True)
-    slow = build_sim(False, energy=True)
+    fast = build_sim(energy=True)
+    slow = build_sim(energy=True)
     fast.run_slotframes(30)
-    slow.run_slotframes(30)
+    run_slotframes_stepped(slow, 30)
     assert_equivalent(fast, slow)
     assert energy_state(fast) == energy_state(slow)
     # Every node accounted for every slot.
@@ -135,22 +135,25 @@ def test_energy_accounting_identical():
 
 def test_runtime_mutation_identical():
     """Rate changes and traffic toggles mid-run keep both paths aligned."""
-    fast, slow = build_sim(True), build_sim(False)
-    for sim in (fast, slow):
-        sim.run_slotframes(10)
+    fast, slow = build_sim(), build_sim()
+    for sim, run in (
+        (fast, lambda sim, n: sim.run_slotframes(n)),
+        (slow, run_slotframes_stepped),
+    ):
+        run(sim, 10)
         sim.set_task_rate(3, 1.5)
-        sim.run_slotframes(10)
+        run(sim, 10)
         sim.disable_traffic()
-        sim.run_slotframes(5)
+        run(sim, 5)
         sim.enable_traffic()
-        sim.run_slotframes(10)
+        run(sim, 10)
     assert_equivalent(fast, slow)
 
 
 def test_chunked_run_identical_to_single_call():
     """Slot-exactness: stepping in odd chunks (as the live layer's
     run_slots(1) does) equals one long run."""
-    chunked, whole = build_sim(True), build_sim(True)
+    chunked, whole = build_sim(), build_sim()
     remaining = 13 * chunked.config.num_slots
     step = 1
     while remaining > 0:
@@ -165,7 +168,7 @@ def test_chunked_run_identical_to_single_call():
 def test_idle_network_skips_but_accounts():
     """A simulator with no traffic at all must still advance time and
     sleep-charge every node, without stepping slot by slot."""
-    sim = build_sim(True, energy=True)
+    sim = build_sim(energy=True)
     sim.disable_traffic()
     sim.run_slotframes(100)
     assert sim.current_slot == 100 * sim.config.num_slots
@@ -174,5 +177,18 @@ def test_idle_network_skips_but_accounts():
 
 
 def test_fast_path_flag_default_on():
-    sim = build_sim(True)
-    assert sim.event_skipping is True
+    """``run_slots`` always takes the event-skipping path: a lightly
+    loaded run processes far fewer slots than it advances."""
+    sim = build_sim()
+    stepped = 0
+    step = sim._step
+
+    def counting_step():
+        nonlocal stepped
+        stepped += 1
+        step()
+
+    sim._step = counting_step
+    sim.run_slotframes(20)
+    assert sim.current_slot == 20 * sim.config.num_slots
+    assert 0 < stepped < sim.current_slot // 2

@@ -4,7 +4,8 @@ recompute, under arbitrary dynamics-op interleavings.
 The :class:`~repro.core.demand.DemandLedger` (and the dirty-set
 restricted reconciliation it enables in
 :class:`~repro.core.dynamics.TopologyManager`) must be *byte-identical*
-to the from-scratch path after every op: same ``link_demands`` dict,
+to the from-scratch reference path of :mod:`repro.verify.reference`
+after every op: same ``link_demands`` dict,
 same schedule, same ledger-vs-taskset accumulator state.  The
 summation-order contract of :mod:`repro.net.tasks` (exact fixed-point
 integer accumulation) is what makes this an equality, not an
@@ -28,20 +29,24 @@ from repro.core.dynamics import TopologyManager
 from repro.core.manager import HarpNetwork
 from repro.verify.fuzz import _apply_op
 from repro.verify.generators import DynamicsOp, generate_scenario
+from repro.verify.reference import (
+    ReferenceHarpNetwork,
+    ReferenceTopologyManager,
+)
 
 
 def _build(scenario, incremental):
-    harp = HarpNetwork(
+    network_cls = HarpNetwork if incremental else ReferenceHarpNetwork
+    manager_cls = TopologyManager if incremental else ReferenceTopologyManager
+    harp = network_cls(
         scenario.topology(),
         scenario.task_set(),
         scenario.config(),
         case1_slack=scenario.case1_slack,
         distribute_slack=scenario.distribute_slack,
-        incremental_demand=incremental,
     )
     harp.allocate()
-    manager = TopologyManager(harp, incremental=incremental)
-    return harp, manager
+    return harp, manager_cls(harp)
 
 
 def _schedule_state(harp):
@@ -66,7 +71,6 @@ def _run_equivalence(scenario, ops):
         harp_naive, manager_naive = _build(scenario, incremental=False)
     except InsufficientResourcesError:
         return 0  # infeasible bootstrap: nothing to compare
-    assert harp_naive.demand_ledger is None
     _assert_equivalent(harp_inc, harp_naive, "after bootstrap")
     applied = 0
     for i, op in enumerate(ops):

@@ -271,6 +271,31 @@ class TestScaleBench:
         assert "cumulative" in out
         assert "bench_scale_static" in out
 
+    def test_profile_static_wave_table_shape(self, capsys):
+        """One row per non-leaf depth, deepest first; every composition
+        is either a cache hit or a miss; node visits cover both
+        directions."""
+        assert main(["profile", "static", "--size", "60", "--top", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index(
+            "  wave   nodes  compositions   seconds   hit/miss"
+        )
+        rows = []
+        for line in lines[start + 2:]:
+            if not line.startswith("  d="):
+                break
+            depth, nodes, compositions, seconds, hit_miss = line.split()
+            hits, misses = map(int, hit_miss.split("/"))
+            assert int(compositions) == hits + misses
+            assert float(seconds) >= 0.0
+            rows.append((int(depth[2:]), int(nodes)))
+        depths = [depth for depth, _ in rows]
+        assert depths == sorted(depths, reverse=True) and depths[-1] == 0
+        total = lines[start + 2 + len(rows)]
+        assert total.startswith("  total ")
+        assert total.endswith(f"over {sum(n for _, n in rows)} node visits")
+        assert all(nodes % 2 == 0 for _, nodes in rows)
+
     def test_profile_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "everything"])
