@@ -1,151 +1,177 @@
-"""Performance smoke benchmark with a regression guard.
+"""Same-run performance gates that hold on any hardware.
 
-Runs the ``repro bench`` hot-path timings (shortened horizons), writes a
-fresh ``BENCH_perf.json`` for the CI artifact, and fails when engine
-throughput regresses more than 30% against the committed baseline.
+Every gate here compares two arms measured in the same process on the
+same box, so the thresholds are about the code, not the host:
 
-The committed ``BENCH_perf.json`` at the repo root carries absolute
-numbers from the reference box; raw wall-clock comparisons across
-machines are noisy, so the guard scales the committed fast-path number
-by how the *slow reference path* performs on the current machine —
-the fast/slow ratio is hardware-independent, making the 30% tolerance
-about the code, not the host.
+* the event-skipping engine vs the slot-by-slot reference stepping of
+  :func:`repro.verify.reference.run_slots_stepped`, with identical
+  outcomes;
+* a warm :class:`~repro.packing.composition.CompositionCache` vs cold
+  Algorithm-1 packing;
+* the shape and provenance of the ``repro bench`` scale ladder at
+  N=100.
+
+Absolute throughput is tracked by ``perfbench/run.py``, which compares
+a change against its parent on one box.
+
+Run with ``PYTHONPATH=src python -m pytest benchmarks/test_bench_perf.py``.
 """
 
-import json
-import os
+import random
+import time
+from typing import Dict
 
 import pytest
 
-from repro.bench import merge_report, run_benchmarks
+from repro.bench import run_scale_benchmarks
+from repro.core.manager import HarpNetwork
+from repro.net.sim.engine import TSCHSimulator
+from repro.net.slotframe import SlotframeConfig
+from repro.net.tasks import e2e_task_per_node
+from repro.net.topology import regular_tree
+from repro.packing.composition import CompositionCache, compose_components
+from repro.packing.geometry import Rect
+from repro.verify.reference import run_slots_stepped
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED = os.path.join(REPO_ROOT, "BENCH_perf.json")
+#: Engine horizon in slotframes: a smoke guard, not a measurement.
+SLOTFRAMES = 100
+
+#: Algorithm-1 compositions per timed pass.
+COMPOSITION_OPS = 5000
+
+#: Timed passes per arm; each arm reports its fastest.
+REPEATS = 3
 
 
-def _load_committed():
-    """Snapshot the committed baseline at import time — the report
-    fixture merges fresh numbers into the same file when cwd is the
-    repo root, and a gate that reads it afterwards would compare the
-    measurement against itself."""
-    try:
-        with open(COMMITTED, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
+def _engine_sim(rate: float) -> TSCHSimulator:
+    """The engine workload: 40 nodes, e2e traffic at ``rate`` packets
+    per task per slotframe, TTL tracking on.  Rate 0.2 is the standard
+    load; rate 0.02 is the idle-heavy variant."""
+    topology = regular_tree(depth=3, fanout=3)
+    config = SlotframeConfig(num_slots=199, num_channels=16)
+    tasks = e2e_task_per_node(topology, rate=rate)
+    network = HarpNetwork(topology, tasks, config)
+    network.allocate()
+    return TSCHSimulator(
+        topology,
+        network.schedule,
+        tasks,
+        config,
+        rng=random.Random(7),
+        max_packet_age_slots=1000,
+    )
 
 
-COMMITTED_REPORT = _load_committed()
+def bench_engine(rate: float, reference: bool = False) -> Dict[str, float]:
+    """Engine throughput in slots/second (plus outcome checksums).
 
-#: Allowed engine-throughput regression vs the committed baseline.
-TOLERANCE = 0.30
+    ``reference`` times the slot-by-slot reference stepping instead of
+    the production event-skipping ``run_slots``.  Best of
+    :data:`REPEATS` fresh runs: wall-clock on a shared box is noisy and
+    the fastest run is the closest estimate of the code's cost.
+    """
+    best = None
+    for _ in range(REPEATS):
+        sim = _engine_sim(rate)
+        slots = SLOTFRAMES * sim.config.num_slots
+        start = time.perf_counter()
+        if reference:
+            run_slots_stepped(sim, slots)
+        else:
+            sim.run_slots(slots)
+        elapsed = time.perf_counter() - start
+        if best is None or elapsed < best:
+            best = elapsed
+            metrics = sim.metrics
+    return {
+        "slots_per_sec": slots / best,
+        "delivered": float(len(metrics.deliveries)),
+        "generated": float(metrics.generated),
+    }
+
+
+def _composition_pool(pool_size: int = 200, seed: int = 11):
+    rng = random.Random(seed)
+    return [
+        [
+            Rect(rng.randint(1, 12), rng.randint(1, 3), (i, j))
+            for j in range(rng.randint(2, 8))
+        ]
+        for i in range(pool_size)
+    ]
+
+
+def bench_composition(cached: bool) -> Dict[str, float]:
+    """Algorithm-1 compositions per second over a mixed multiset pool.
+
+    With ``cached`` a shared :class:`CompositionCache` serves repeats
+    (the adjustment-heavy access pattern); without it every call packs
+    from scratch (the bootstrap pattern).  Best of :data:`REPEATS`
+    timed passes, each cached pass on a fresh cache.
+    """
+    pool = _composition_pool()
+    for rects in pool[:50]:   # warmup: exclude cold-start noise
+        compose_components(rects, 16)
+    best = None
+    for _ in range(REPEATS):
+        cache = CompositionCache() if cached else None
+        start = time.perf_counter()
+        for k in range(COMPOSITION_OPS):
+            compose_components(pool[k % len(pool)], 16, cache)
+        elapsed = time.perf_counter() - start
+        if best is None or elapsed < best:
+            best = elapsed
+            best_cache = cache
+    out = {"ops_per_sec": COMPOSITION_OPS / best}
+    if cached:
+        out["hit_rate"] = best_cache.hit_rate
+    return out
 
 
 @pytest.fixture(scope="module")
-def report():
-    # Short horizons: this is a smoke guard, not the tracked measurement.
-    result = run_benchmarks(slotframes=100, include_sweeps=False)
-    # Merge, don't overwrite: when cwd is the repo root, a plain write
-    # would clobber the tracked churn/scale/fleet sections.
-    merge_report(os.path.join(os.getcwd(), "BENCH_perf.json"), result)
-    return result
+def engine():
+    """Fast and reference arms of both engine workloads."""
+    return {
+        name: {
+            "fast": bench_engine(rate=rate),
+            "reference": bench_engine(rate=rate, reference=True),
+        }
+        for name, rate in (("standard", 0.2), ("idle", 0.02))
+    }
 
 
-def test_engine_fast_path_beats_reference(report):
+def _skip_speedup(arms) -> float:
+    return arms["fast"]["slots_per_sec"] / arms["reference"]["slots_per_sec"]
+
+
+def test_engine_fast_path_beats_reference(engine):
     """The event-skipping core must crush the slot-by-slot reference
-    stepping of :mod:`repro.verify.reference` on the idle-heavy workload (hardware-independent ratio; the win there is
-    ~7x, so 3.0 leaves ample noise headroom).  On the busier standard
-    workload skipping engages rarely, so only require no regression."""
-    assert report["engine_idle"]["skip_speedup"] > 3.0
-    assert report["engine"]["skip_speedup"] > 0.85
+    stepping on the idle-heavy workload (the win there is ~7x, so 3.0
+    leaves ample noise headroom).  On the busier standard workload
+    skipping engages rarely, so only require no regression."""
+    assert _skip_speedup(engine["idle"]) > 3.0
+    assert _skip_speedup(engine["standard"]) > 0.85
 
 
-def test_composition_cache_speedup(report):
+def test_engine_outcomes_identical_across_paths(engine):
+    """Fast and reference path must agree on what the simulation
+    computed."""
+    for arms in engine.values():
+        assert arms["fast"]["delivered"] == arms["reference"]["delivered"]
+        assert arms["fast"]["generated"] == arms["reference"]["generated"]
+
+
+def test_composition_cache_speedup():
     """A warm composition cache must beat cold packing handily."""
-    assert report["composition"]["cache_speedup"] > 2.0
-    assert report["composition"]["cached"]["hit_rate"] > 0.9
-
-
-def test_engine_outcomes_identical_across_paths(report):
-    """Fast and slow path must agree on what the simulation computed."""
-    for section in ("engine", "engine_idle"):
-        fast = report[section]["fast_path"]
-        slow = report[section]["slow_path"]
-        assert fast["delivered"] == slow["delivered"]
-        assert fast["generated"] == slow["generated"]
-
-
-def test_engine_throughput_vs_committed_baseline(report):
-    """Engine slots/sec must stay within 30% of the committed baseline,
-    hardware-normalized via the slow-path ratio."""
-    if COMMITTED_REPORT is None:
-        pytest.skip("no committed BENCH_perf.json baseline")
-    committed = COMMITTED_REPORT
-    committed_fast = committed["engine"]["fast_path"]["slots_per_sec"]
-    committed_slow = committed["engine"]["slow_path"]["slots_per_sec"]
-    measured_slow = report["engine"]["slow_path"]["slots_per_sec"]
-    # Scale the committed expectation to this machine's speed.
-    hardware_scale = measured_slow / committed_slow
-    expected = committed_fast * hardware_scale
-    measured = report["engine"]["fast_path"]["slots_per_sec"]
-    assert measured >= expected * (1.0 - TOLERANCE), (
-        f"engine fast path regressed: {measured:,.0f} slots/s vs "
-        f"hardware-scaled baseline {expected:,.0f} slots/s "
-        f"(committed {committed_fast:,.0f} at scale {hardware_scale:.2f})"
-    )
-
-
-# ----------------------------------------------------------------------
-# churn adjustment-throughput gate
-# ----------------------------------------------------------------------
-
-
-def test_churn_adjust_ops_vs_committed_baseline(report):
-    """Sustained schedule-adjustment throughput under roaming churn
-    must stay within tolerance of the committed churn section,
-    hardware-normalized via the engine slow path (the adjustment
-    machinery rides on the same interpreter-bound hot loop).
-
-    The tolerance is looser than the engine gate: one short roam run
-    measures far fewer operations than the tracked three-seed study,
-    so per-run noise is higher.
-    """
-    if COMMITTED_REPORT is None:
-        pytest.skip("no committed BENCH_perf.json baseline")
-    committed = COMMITTED_REPORT
-    churn = committed.get("churn", {})
-    committed_ops = churn.get("adjust_ops_per_sec")
-    if not committed_ops:
-        pytest.skip("committed churn section has no adjust_ops_per_sec")
-
-    from repro.experiments.roam_study import run_single_roam
-
-    outcome = run_single_roam(seed=0, proactive=True, post_slotframes=90)
-    assert outcome.adjust_ops > 0, "roam run applied no schedule updates"
-    measured = outcome.adjust_ops / max(outcome.roam_wall_seconds, 1e-9)
-
-    committed_slow = committed["engine"]["slow_path"]["slots_per_sec"]
-    measured_slow = report["engine"]["slow_path"]["slots_per_sec"]
-    hardware_scale = measured_slow / committed_slow
-    expected = committed_ops * hardware_scale
-    assert measured >= expected * 0.5, (
-        f"churn adjustment throughput regressed: {measured:,.0f} ops/s vs "
-        f"hardware-scaled baseline {expected:,.0f} ops/s "
-        f"(committed {committed_ops:,.0f} at scale {hardware_scale:.2f})"
-    )
-
-
-# ----------------------------------------------------------------------
-# scaling suite gate
-# ----------------------------------------------------------------------
+    cold = bench_composition(cached=False)
+    warm = bench_composition(cached=True)
+    assert warm["ops_per_sec"] / cold["ops_per_sec"] > 2.0
+    assert warm["hit_rate"] > 0.9
 
 
 @pytest.fixture(scope="module")
 def scale_report():
-    from repro.bench import run_scale_benchmarks
-
-    # N=100 only: the gate checks the speedup ratios, which are already
-    # visible at small scale; the nightly job runs the full ladder.
+    # N=100 only: the nightly job runs the full ladder.
     return run_scale_benchmarks(sizes=(100,))
 
 
@@ -153,61 +179,13 @@ def test_scale_report_shape(scale_report):
     point = scale_report["points"]["100"]
     assert point["static"]["seconds"] > 0
     assert point["storm"]["ops_per_sec"] > 0
+    assert point["storm"]["succeeded"] == point["storm"]["ops"]
     assert point["engine"]["slots_per_sec"] > 0
-    assert scale_report["baseline"]["storm_seconds"]["100"] > 0
+    assert "baseline" not in scale_report
 
 
-def test_scale_speedup_vs_committed_baseline(scale_report):
-    """Static allocation and the dynamics storm must stay well ahead of
-    the committed pre-optimization numbers.
-
-    Raw wall-clock is hardware-dependent, so the speedups are
-    normalized by the engine-throughput ratio (the engine is untouched
-    by the indexed-topology work, making it a hardware proxy).
-    """
-    per = scale_report["speedup_vs_baseline"]["100"]
-    hardware = per["engine"]
-    assert per["storm"] / hardware > 1.5, per
-    assert per["static"] / hardware > 1.2, per
-
-
-def test_scale_meta_block_present():
-    from repro.bench import collect_meta
-
-    meta = collect_meta(seed=7)
+def test_scale_meta_block_present(scale_report):
+    meta = scale_report["meta"]
     for key in ("python", "platform", "machine", "timestamp", "seed"):
         assert key in meta
 
-
-def test_storm_10k_speedup_vs_committed_baseline():
-    """The N=10000 dynamics storm must stay >=2x ahead of the committed
-    pre-optimization baseline (incremental demand ledger + exact
-    integer-scaled accumulation vs the naive recompute pipeline).
-
-    Hardware-normalized by the engine burst at the same size: the
-    engine is untouched by the demand work, so its
-    throughput ratio against the committed figure is a pure machine
-    proxy.  Both sides take the best of three runs — on a shared box
-    a throttled outlier is far more likely than a fast one, and a
-    slow proxy run would inflate the normalized speedup just as
-    unfairly as a slow storm run would deflate it."""
-    from repro.bench import (
-        SCALE_BASELINE,
-        bench_scale_engine,
-        bench_scale_storm,
-    )
-
-    base_storm = SCALE_BASELINE["storm_seconds"]["10000"]
-    base_engine = SCALE_BASELINE["engine_slots_per_sec"]["10000"]
-    slots_per_sec = max(
-        bench_scale_engine(10000)["slots_per_sec"] for _ in range(3)
-    )
-    hardware = slots_per_sec / base_engine
-    storms = [bench_scale_storm(10000) for _ in range(3)]
-    storm = min(storms, key=lambda s: s["seconds"])
-    assert all(s["succeeded"] == s["ops"] for s in storms)
-    speedup = base_storm / storm["seconds"]
-    assert speedup / hardware > 2.0, (
-        f"storm 10k speedup {speedup:.2f}x at hardware scale "
-        f"{hardware:.2f} — below the 2x floor"
-    )

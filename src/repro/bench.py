@@ -1,45 +1,32 @@
-"""Performance benchmarks with a tracked baseline (``repro bench``).
+"""The 100 -> 100k scale ladder and the static-phase profile
+(``repro bench`` and ``repro profile``).
 
-The ROADMAP's north star is "as fast as the hardware allows"; this
-module is where that claim is measured instead of asserted.  Three hot
-paths are timed:
+The repository's performance record is the ``perfbench`` benchmark
+(``python3 perfbench/run.py``): four fixed workloads, compared parent
+vs change on the same box.  This module covers what those workloads do
+not: the same pipeline measured at growing network sizes.  Per size
+the ladder times three arms on one seeded depth-8 tree:
 
-* **engine** — slot throughput of :class:`~repro.net.sim.engine.
-  TSCHSimulator` on two workloads over the same 40-node tree: the
-  *standard* load (rate 0.2 — moderately busy, the seed baseline's
-  workload) and an *idle-heavy* load (rate 0.02 — mostly empty slots,
-  exactly where the event-skipping core pays off).  Both the fast path
-  and the slot-by-slot reference stepping
-  (:func:`repro.verify.reference.run_slots_stepped`) are timed on each
-  so the skip win is visible in isolation.
-* **composition** — Algorithm-1 compositions per second over a mixed
-  pool of child multisets, cold (no cache) and with the
-  :class:`~repro.packing.composition.CompositionCache` warm.
-* **sweeps** — wall time of the scaling study and the co-simulated
-  fault study, the two heaviest experiment loops.
+* **static** — allocation plus the invariant certificate;
+* **storm** — a scripted dynamics storm (rate changes, joins, parent
+  switches, leaves); only the ops are timed, victim selection is not;
+* **engine** — a light-traffic engine burst over a wide slotframe.
 
-``run_benchmarks`` returns a plain dict; ``repro bench --out`` and the
-benchmark test write it as ``BENCH_perf.json`` next to the *committed*
-numbers, giving the repo a performance trajectory: every entry keeps
-``seed_baseline`` (the pre-optimization code measured on the reference
-box) so regressions and wins stay visible across PRs.
-
-Machine variance caveat: all numbers are wall-clock on whatever box
-runs them.  The committed reference numbers come from one machine;
-cross-machine comparisons (e.g. CI) should use generous tolerances (the
-CI smoke job allows 30%) or compare ratios (fast vs slow path) which
-are hardware-independent.
+Every report carries its own provenance (:func:`collect_meta`) and is
+written fresh; nothing here compares against numbers measured on
+another box or at another sha.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import platform
 import random
 import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .core.interface_gen import InterfaceTable, generate_node_interface
@@ -52,174 +39,25 @@ from .net.topology import (
     LinkRef,
     TreeTopology,
     layered_random_tree,
-    regular_tree,
 )
-from .packing.composition import CompositionCache, compose_components
-from .packing.geometry import Rect
+from .packing.composition import CompositionCache
 
-#: Pre-optimization numbers: the seed code (PR 2) measured on the
-#: reference box with exactly the workloads below.  Kept in the report
-#: so every future BENCH_perf.json carries its own before/after story.
-SEED_BASELINE: Dict[str, float] = {
-    "engine_slots_per_sec": 110881.0,
-    "engine_idle_slots_per_sec": 159006.0,
-    "composition_ops_per_sec": 19983.0,
-    "scaling_sweep_seconds": 1.541,
-    "fault_sweep_seconds": 1.475,
-}
-
-
-def _engine_sim(rate: float = 0.2) -> TSCHSimulator:
-    """The engine workload: 40 nodes, e2e traffic at ``rate`` packets
-    per task per slotframe, TTL tracking on.  Rate 0.2 is the standard
-    (seed-comparable) load; rate 0.02 is the idle-heavy variant."""
-    topology = regular_tree(depth=3, fanout=3)
-    config = SlotframeConfig(num_slots=199, num_channels=16)
-    tasks = e2e_task_per_node(topology, rate=rate)
-    network = HarpNetwork(topology, tasks, config)
-    network.allocate()
-    return TSCHSimulator(
-        topology,
-        network.schedule,
-        tasks,
-        config,
-        rng=random.Random(7),
-        max_packet_age_slots=1000,
-    )
-
-
-def bench_engine(
-    slotframes: int = 400,
-    reference: bool = False,
-    repeats: int = 3,
-    rate: float = 0.2,
-) -> Dict[str, float]:
-    """Engine throughput in slots/second (plus outcome checksums).
-
-    ``reference`` times the slot-by-slot reference stepping instead of
-    the production event-skipping ``run_slots``.  Best of ``repeats``
-    fresh runs: wall-clock on a shared box is noisy and the fastest run
-    is the closest estimate of the code's cost.
-    """
-    from .verify.reference import run_slots_stepped
-
-    best = None
-    for _ in range(repeats):
-        sim = _engine_sim(rate)
-        slots = slotframes * sim.config.num_slots
-        start = time.perf_counter()
-        if reference:
-            run_slots_stepped(sim, slots)
-        else:
-            sim.run_slots(slots)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-            metrics = sim.metrics
-    return {
-        "slots_per_sec": slots / best,
-        "seconds": best,
-        "delivered": float(len(metrics.deliveries)),
-        "generated": float(metrics.generated),
-    }
-
-
-def _composition_pool(pool_size: int = 200, seed: int = 11):
-    rng = random.Random(seed)
-    return [
-        [
-            Rect(rng.randint(1, 12), rng.randint(1, 3), (i, j))
-            for j in range(rng.randint(2, 8))
-        ]
-        for i in range(pool_size)
-    ]
-
-
-def bench_composition(
-    ops: int = 5000, cached: bool = False, repeats: int = 3
-) -> Dict[str, float]:
-    """Algorithm-1 compositions per second over a mixed multiset pool.
-
-    With ``cached`` a shared :class:`CompositionCache` serves repeats
-    (the adjustment-heavy access pattern); without it every call packs
-    from scratch (the bootstrap pattern, and the seed behaviour).
-    Best of ``repeats`` timed passes, each cached pass on a fresh cache.
-    """
-    pool = _composition_pool()
-    for rects in pool[:50]:   # warmup: exclude cold-start noise
-        compose_components(rects, 16)
-    best = None
-    for _ in range(repeats):
-        cache = CompositionCache() if cached else None
-        start = time.perf_counter()
-        for k in range(ops):
-            compose_components(pool[k % len(pool)], 16, cache)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-            best_cache = cache
-    out = {"ops_per_sec": ops / best, "seconds": best}
-    if cached:
-        out["hit_rate"] = best_cache.hit_rate
-    return out
-
-
-def bench_scaling_sweep(workers: Optional[int] = None) -> Dict[str, float]:
-    """Wall time of the scaling study (sizes 40/80/120, 3 trials)."""
-    from .experiments.scaling import run_scaling
-
-    start = time.perf_counter()
-    run_scaling(sizes=(40, 80, 120), trials=3, seed=5, workers=workers)
-    return {"seconds": time.perf_counter() - start}
-
-
-def bench_fault_sweep(workers: Optional[int] = None) -> Dict[str, float]:
-    """Wall time of the co-simulated fault study (2 counts x 2 seeds)."""
-    from .experiments.fault_study import run_fault_study
-
-    start = time.perf_counter()
-    run_fault_study(
-        crash_counts=(1, 2), seeds=(0, 1), post_slotframes=40,
-        workers=workers,
-    )
-    return {"seconds": time.perf_counter() - start}
-
-
-# ----------------------------------------------------------------------
-# scaling suite: the same pipeline at 100 .. 10k nodes
-# ----------------------------------------------------------------------
-
-#: Tree depth of every scale-suite topology: deep enough that the
-#: hierarchy matters, constant so per-size numbers are comparable.
+#: Tree depth of every ladder topology: deep enough that the hierarchy
+#: matters, constant so per-size numbers are comparable.
 SCALE_DEPTH = 8
 
-#: Pre-optimization numbers for the scale suite (the PR-5 code measured
-#: on the reference box with exactly the scenarios below: storm_ops=12,
-#: engine_slotframes=3, seed=7).  ``None`` marks sizes the naive code
-#: was never measured at.
-#:
-#: The 10000/100000 entries were added with the incremental demand
-#: ledger, measured on *its* reference machine against the pre-ledger
-#: code: the storm figure is the naive demand pipeline before the exact
-#: integer-scaled accumulation landed, and the engine figures are the
-#: engine's best-of-several peak (peak, because a shared box throttles
-#: individual runs far more often than it speeds them up).
-SCALE_BASELINE: Dict[str, Dict[str, Optional[float]]] = {
-    "static_seconds": {"100": 0.028, "1000": 0.222, "5000": 1.717},
-    "storm_seconds": {
-        "100": 0.152, "1000": 1.794, "5000": 18.918, "10000": 17.37,
-    },
-    "engine_slots_per_sec": {
-        "100": 749622.0, "1000": 1018910.0, "5000": 789032.0,
-        "10000": 544309.0, "100000": 115709.0,
-    },
-}
+#: Dynamics ops per storm, cycling rate change / attach / reparent /
+#: detach.
+STORM_OPS = 12
+
+#: Engine-burst horizon in slotframes.
+ENGINE_SLOTFRAMES = 3
 
 
 def _scale_network(n: int, seed: int = 7, rate: float = 1.0):
-    """The scale-suite workload at ``n`` devices: a depth-8 layered
-    random tree, a slotframe wide enough for the demand, one e2e task
-    per device."""
+    """The ladder workload at ``n`` devices: a depth-8 layered random
+    tree, a slotframe wide enough for the demand, one e2e task per
+    device."""
     topology = layered_random_tree(n, SCALE_DEPTH, random.Random(seed + n))
     config = SlotframeConfig(num_slots=max(199, 8 * n), num_channels=16)
     tasks = e2e_task_per_node(topology, rate=rate)
@@ -248,13 +86,14 @@ def bench_scale_static(n: int, seed: int = 7) -> Dict[str, object]:
     }
 
 
-def bench_scale_storm(n: int, ops: int = 12, seed: int = 7) -> Dict[str, float]:
-    """A scripted dynamics storm: rate changes, joins, parent switches
-    and leaves interleaved on one allocated network.
+def bench_scale_storm(n: int, seed: int = 7) -> Dict[str, float]:
+    """A scripted dynamics storm: :data:`STORM_OPS` rate changes, joins,
+    parent switches and leaves interleaved on one allocated network.
 
-    The op script is a pure function of (n, ops, seed) and of the
-    network state it evolves, so pre- and post-optimization code does
-    the identical semantic work — the numbers compare like for like.
+    The op script is a pure function of (n, seed) and of the network
+    state it evolves.  Picking each op's victim scans the whole tree,
+    so it happens outside the timer: ``seconds`` sums the time of the
+    executed ops alone.
     """
     from .core.dynamics import TopologyManager
 
@@ -266,10 +105,10 @@ def bench_scale_storm(n: int, ops: int = 12, seed: int = 7) -> Dict[str, float]:
     manager = TopologyManager(harp)
     rng = random.Random(seed * 1000 + n)
     next_id = max(harp.topology.nodes) + 1
-    succeeded = 0
+    seconds = 0.0
+    executed = succeeded = 0
 
-    start = time.perf_counter()
-    for i in range(ops):
+    for i in range(STORM_OPS):
         kind = ("rate", "attach", "reparent", "detach")[i % 4]
         topo = harp.topology
         if kind == "rate":
@@ -278,18 +117,17 @@ def bench_scale_storm(n: int, ops: int = 12, seed: int = 7) -> Dict[str, float]:
             if not task_ids:
                 continue
             old = harp.task_set.by_id(task_ids[0]).rate
-            report = harp.request_rate_change(
-                task_ids[0], 1.5 if old <= 1.0 else 1.0
+            op = partial(
+                harp.request_rate_change,
+                task_ids[0], 1.5 if old <= 1.0 else 1.0,
             )
-            succeeded += bool(report.success)
         elif kind == "attach":
             parent = rng.choice(list(topo.device_nodes))
-            report = manager.attach(
-                next_id, parent,
+            op = partial(
+                manager.attach, next_id, parent,
                 Task(task_id=next_id, source=next_id, rate=1.0),
             )
             next_id += 1
-            succeeded += bool(report.success)
         else:
             leaves = [d for d in topo.device_nodes if topo.is_leaf(d)]
             if not leaves:
@@ -302,24 +140,26 @@ def bench_scale_storm(n: int, ops: int = 12, seed: int = 7) -> Dict[str, float]:
                 ]
                 if not candidates:
                     continue
-                report = manager.reparent(leaf, rng.choice(candidates))
+                op = partial(manager.reparent, leaf, rng.choice(candidates))
             else:
-                report = manager.detach(leaf)
-            succeeded += bool(report.success)
-    elapsed = time.perf_counter() - start
+                op = partial(manager.detach, leaf)
+        start = time.perf_counter()
+        report = op()
+        seconds += time.perf_counter() - start
+        executed += 1
+        succeeded += bool(report.success)
     return {
-        "seconds": elapsed,
-        "ops": float(ops),
-        "ops_per_sec": ops / elapsed,
+        "seconds": seconds,
+        "ops": float(executed),
+        "ops_per_sec": executed / seconds,
         "succeeded": float(succeeded),
     }
 
 
-def bench_scale_engine(
-    n: int, slotframes: int = 3, seed: int = 7
-) -> Dict[str, float]:
-    """Engine burst at ``n`` nodes: light traffic over a wide slotframe,
-    exactly where the event-skipping core should shine."""
+def bench_scale_engine(n: int, seed: int = 7) -> Dict[str, float]:
+    """Engine burst at ``n`` nodes: light traffic over a wide slotframe
+    for :data:`ENGINE_SLOTFRAMES` slotframes, exactly where the
+    event-skipping core should shine."""
     topology, tasks, config = _scale_network(n, seed, rate=0.05)
     harp = HarpNetwork(
         topology, tasks, config, case1_slack=1, distribute_slack=True
@@ -330,7 +170,7 @@ def bench_scale_engine(
         rng=random.Random(seed),
         max_packet_age_slots=10 * config.num_slots,
     )
-    slots = slotframes * config.num_slots
+    slots = ENGINE_SLOTFRAMES * config.num_slots
     start = time.perf_counter()
     sim.run_slots(slots)
     elapsed = time.perf_counter() - start
@@ -342,221 +182,69 @@ def bench_scale_engine(
     }
 
 
-#: The scale-suite arms, in run order.
-SCALE_ARMS = ("static", "storm", "engine")
+#: The ladder arms, in run order.
+SCALE_ARMS = {
+    "static": bench_scale_static,
+    "storm": bench_scale_storm,
+    "engine": bench_scale_engine,
+}
 
 
 def run_scale_benchmarks(
-    sizes: Sequence[int] = (100, 1000, 5000, 10000),
-    storm_ops: int = 12,
-    engine_slotframes: int = 3,
-    seed: int = 7,
-    arms: Optional[Sequence[str]] = None,
+    sizes: Sequence[int], seed: int = 7
 ) -> Dict[str, object]:
-    """Run the scaling suite and assemble its report section.
-
-    Per size: static allocation, the dynamics storm and the engine
-    burst.  ``arms`` restricts which of those run (default: all three)
-    so a CI smoke job can pay for exactly the arm it gates — earlier
-    versions ran everything regardless, which is why the equivalence
-    smoke burned storm/engine time it never looked at.
-    ``speedup_vs_baseline`` compares against the committed
-    pre-optimization :data:`SCALE_BASELINE` where that was measured.
-    """
-    chosen = tuple(arms) if arms is not None else SCALE_ARMS
-    unknown = set(chosen) - set(SCALE_ARMS)
-    if unknown:
-        raise ValueError(
-            f"unknown arms {sorted(unknown)}; pick from {list(SCALE_ARMS)}"
-        )
-    points: Dict[str, Dict[str, Dict[str, float]]] = {}
-    speedups: Dict[str, Dict[str, float]] = {}
-    for n in sizes:
-        point: Dict[str, Dict[str, float]] = {}
-        if "static" in chosen:
-            point["static"] = bench_scale_static(n, seed)
-        if "storm" in chosen:
-            point["storm"] = bench_scale_storm(n, storm_ops, seed)
-        if "engine" in chosen:
-            point["engine"] = bench_scale_engine(n, engine_slotframes, seed)
-        points[str(n)] = point
-        point_speedups: Dict[str, float] = {}
-        base_static = SCALE_BASELINE["static_seconds"].get(str(n))
-        if base_static and "static" in point:
-            point_speedups["static"] = (
-                base_static / point["static"]["seconds"]
-            )
-        base_storm = SCALE_BASELINE["storm_seconds"].get(str(n))
-        if base_storm and "storm" in point:
-            point_speedups["storm"] = (
-                base_storm / point["storm"]["seconds"]
-            )
-        base_engine = SCALE_BASELINE["engine_slots_per_sec"].get(str(n))
-        if base_engine and "engine" in point:
-            point_speedups["engine"] = (
-                point["engine"]["slots_per_sec"] / base_engine
-            )
-        if point_speedups:
-            speedups[str(n)] = point_speedups
+    """Run every ladder arm at every size; returns the report dict,
+    provenance included."""
     return {
+        "meta": collect_meta(seed=seed),
         "sizes": list(sizes),
-        "storm_ops": storm_ops,
-        "engine_slotframes": engine_slotframes,
         "seed": seed,
-        "arms": list(chosen),
-        "points": points,
-        "baseline": {k: dict(v) for k, v in SCALE_BASELINE.items()},
-        "speedup_vs_baseline": speedups,
+        "storm_ops": STORM_OPS,
+        "engine_slotframes": ENGINE_SLOTFRAMES,
+        "points": {
+            str(n): {arm: run(n, seed) for arm, run in SCALE_ARMS.items()}
+            for n in sizes
+        },
     }
 
 
 def render_scale_report(scale: Dict[str, object]) -> str:
-    """Human-readable scaling table.
-
-    Tolerates missing arms (the suite only runs what ``arms`` asked
-    for) and appends per-size composition-cache counters when the
-    static arm ran.
-    """
+    """Human-readable ladder table, followed by the per-size
+    composition-cache counters of the static arm."""
     lines = [
         "   nodes   static s     storm s    storm op/s   engine slots/s",
         "  ------  ----------  ----------  -----------  ---------------",
     ]
-
-    def _num(point, arm, key, width, fmt):
-        sub = point.get(arm)
-        if not sub:
-            return " " * (width - 1) + "-"
-        return f"{sub[key]:>{width}{fmt}}"
-
     for n in scale["sizes"]:
         p = scale["points"][str(n)]
         lines.append(
-            f"  {n:>6}  "
-            f"{_num(p, 'static', 'seconds', 10, '.3f')}  "
-            f"{_num(p, 'storm', 'seconds', 10, '.3f')}  "
-            f"{_num(p, 'storm', 'ops_per_sec', 11, '.2f')}  "
-            f"{_num(p, 'engine', 'slots_per_sec', 15, ',.0f')}"
+            f"  {n:>6}  {p['static']['seconds']:>10.3f}  "
+            f"{p['storm']['seconds']:>10.3f}  "
+            f"{p['storm']['ops_per_sec']:>11.2f}  "
+            f"{p['engine']['slots_per_sec']:>15,.0f}"
         )
-    cache_lines = []
+    lines.append("")
+    lines.append("composition cache (static arm):")
     for n in scale["sizes"]:
-        cache = (scale["points"][str(n)].get("static") or {}).get("cache")
-        if cache:
-            cache_lines.append(
-                f"  N={n:<6} hits={cache['hits']} misses={cache['misses']}"
-            )
-    if cache_lines:
-        lines.append("")
-        lines.append("composition cache (static arm):")
-        lines.extend(cache_lines)
-    speedups = scale.get("speedup_vs_baseline") or {}
-    if speedups:
-        lines.append("")
+        cache = scale["points"][str(n)]["static"]["cache"]
         lines.append(
-            "speedup vs pre-optimization baseline (same scenarios):"
+            f"  N={n:<6} hits={cache['hits']} misses={cache['misses']}"
         )
-        for n, per in sorted(speedups.items(), key=lambda kv: int(kv[0])):
-            parts = ", ".join(
-                f"{name} {value:.2f}x" for name, value in sorted(per.items())
-            )
-            lines.append(f"  N={n:<6} {parts}")
     return "\n".join(lines)
-
-
-def run_workload_benchmark(
-    preset: str = "mixed",
-    seed: int = 7,
-    frames: float = 200.0,
-    devices: int = 24,
-    depth: int = 4,
-    sim_frames: int = 20,
-) -> Dict[str, object]:
-    """Sustained-load section for ``BENCH_perf.json``: the workload
-    engine's generation throughput (merged events/sec), trace
-    write/read throughput, and how fast the merged stream drives an
-    allocated network (applied dynamics events/sec, plus an engine
-    horizon under the final state).  The drive digest rides along so a
-    benchmark run doubles as a replay-equivalence spot check."""
-    import os
-    import tempfile
-
-    from .workload import preset_spec, read_events, write_trace
-    from .workload.drivers import drive_network, network_for_spec
-
-    spec = preset_spec(
-        preset, seed=seed, frames=frames, devices=devices, depth=depth
-    )
-    started = time.perf_counter()
-    events = list(spec.events())
-    generate_s = time.perf_counter() - started
-
-    fd, path = tempfile.mkstemp(suffix=".jsonl", prefix="bench-workload-")
-    os.close(fd)
-    try:
-        started = time.perf_counter()
-        write_trace(path, iter(events), spec=spec)
-        write_s = time.perf_counter() - started
-        started = time.perf_counter()
-        replayed = read_events(path)
-        read_s = time.perf_counter() - started
-    finally:
-        os.unlink(path)
-    assert replayed == events, "trace round-trip diverged"
-
-    harp = network_for_spec(spec)
-    started = time.perf_counter()
-    report = drive_network(harp, iter(events), sim_frames=sim_frames)
-    drive_s = time.perf_counter() - started
-
-    count = max(1, len(events))
-    return {
-        "preset": preset,
-        "seed": seed,
-        "frames": frames,
-        "devices": devices,
-        "events": len(events),
-        "events_per_sec": count / max(generate_s, 1e-9),
-        "trace_write_per_sec": count / max(write_s, 1e-9),
-        "trace_read_per_sec": count / max(read_s, 1e-9),
-        "drive_seconds": drive_s,
-        "applied": report.applied,
-        "applied_per_sec": report.applied / max(drive_s, 1e-9),
-        "skipped": report.skipped,
-        "rejected": report.rejected,
-        "rebootstraps": report.rebootstraps,
-        "digest": report.digest,
-        "metrics_digest": report.metrics,
-    }
-
-
-def render_workload_report(section: Dict[str, object]) -> str:
-    """Human-readable summary of one workload benchmark section."""
-    return "\n".join(
-        [
-            f"workload '{section['preset']}' "
-            f"({section['events']} events over {section['frames']:g} "
-            f"frames, {section['devices']} devices):",
-            f"  generate   {section['events_per_sec']:>12,.0f} events/s",
-            f"  trace out  {section['trace_write_per_sec']:>12,.0f} events/s",
-            f"  trace in   {section['trace_read_per_sec']:>12,.0f} events/s",
-            f"  drive      {section['applied_per_sec']:>12,.1f} applied/s "
-            f"({section['applied']} applied, {section['skipped']} skipped, "
-            f"{section['rejected']} rejected)",
-            f"  digest     {section['digest']}",
-        ]
-    )
 
 
 def collect_meta(seed: Optional[int] = None) -> Dict[str, object]:
     """Provenance block for benchmark JSON: what ran where, when.
 
-    Makes ``BENCH_perf.json`` points comparable across machines and
-    PRs — a number without its python version, platform and git sha is
-    just a number.
+    A number without its python version, platform and git sha is just
+    a number.  The sha is read from the checkout this package lives in,
+    whatever the caller's working directory.
     """
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "HEAD"],
             capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         ).stdout.strip() or None
     except (OSError, subprocess.SubprocessError):
         sha = None
@@ -657,14 +345,9 @@ def profile_scenario(
     import io
     import pstats
 
-    runners = {
-        "static": lambda: bench_scale_static(size, seed),
-        "storm": lambda: bench_scale_storm(size, seed=seed),
-        "engine": lambda: bench_scale_engine(size, seed=seed),
-    }
-    if scenario not in runners:
+    if scenario not in SCALE_ARMS:
         raise ValueError(
-            f"unknown scenario {scenario!r}; pick one of {sorted(runners)}"
+            f"unknown scenario {scenario!r}; pick one of {sorted(SCALE_ARMS)}"
         )
     prefix = ""
     if scenario == "static":
@@ -683,142 +366,9 @@ def profile_scenario(
         )
     profiler = cProfile.Profile()
     profiler.enable()
-    runners[scenario]()
+    SCALE_ARMS[scenario](size, seed)
     profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)
     return prefix + stream.getvalue()
-
-
-def run_benchmarks(
-    slotframes: int = 400,
-    include_sweeps: bool = True,
-    workers: Optional[int] = None,
-) -> Dict[str, object]:
-    """Run the full benchmark set and assemble the report dict."""
-    engine_fast = bench_engine(slotframes)
-    engine_slow = bench_engine(slotframes, reference=True)
-    idle_fast = bench_engine(slotframes, rate=0.02)
-    idle_slow = bench_engine(slotframes, reference=True, rate=0.02)
-    comp_cold = bench_composition(cached=False)
-    comp_cached = bench_composition(cached=True)
-
-    report: Dict[str, object] = {
-        "schema": 2,
-        "meta": collect_meta(),
-        "seed_baseline": dict(SEED_BASELINE),
-        "engine": {
-            "fast_path": engine_fast,
-            "slow_path": engine_slow,
-            "skip_speedup": (
-                engine_fast["slots_per_sec"] / engine_slow["slots_per_sec"]
-            ),
-        },
-        "engine_idle": {
-            "fast_path": idle_fast,
-            "slow_path": idle_slow,
-            "skip_speedup": (
-                idle_fast["slots_per_sec"] / idle_slow["slots_per_sec"]
-            ),
-        },
-        "composition": {
-            "uncached": comp_cold,
-            "cached": comp_cached,
-            "cache_speedup": (
-                comp_cached["ops_per_sec"] / comp_cold["ops_per_sec"]
-            ),
-        },
-        "speedup_vs_seed": {
-            "engine": (
-                engine_fast["slots_per_sec"]
-                / SEED_BASELINE["engine_slots_per_sec"]
-            ),
-            "engine_idle": (
-                idle_fast["slots_per_sec"]
-                / SEED_BASELINE["engine_idle_slots_per_sec"]
-            ),
-            "composition_uncached": (
-                comp_cold["ops_per_sec"]
-                / SEED_BASELINE["composition_ops_per_sec"]
-            ),
-            "composition_cached": (
-                comp_cached["ops_per_sec"]
-                / SEED_BASELINE["composition_ops_per_sec"]
-            ),
-        },
-    }
-    if include_sweeps:
-        scaling = bench_scaling_sweep(workers=workers)
-        fault = bench_fault_sweep(workers=workers)
-        report["sweeps"] = {"scaling": scaling, "fault_study": fault}
-        speedups = report["speedup_vs_seed"]
-        assert isinstance(speedups, dict)
-        speedups["scaling_sweep"] = (
-            SEED_BASELINE["scaling_sweep_seconds"] / scaling["seconds"]
-        )
-        speedups["fault_sweep"] = (
-            SEED_BASELINE["fault_sweep_seconds"] / fault["seconds"]
-        )
-    return report
-
-
-def write_report(report: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def merge_report(path: str, updates: Dict[str, object]) -> Dict[str, object]:
-    """Merge ``updates`` into the JSON report at ``path`` (creating it
-    when absent) — how ``repro bench --scale`` appends the scaling
-    section to an existing ``BENCH_perf.json`` without clobbering the
-    hot-path numbers."""
-    report: Dict[str, object] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {}
-    report.update(updates)
-    write_report(report, path)
-    return report
-
-
-def render_report(report: Dict[str, object]) -> str:
-    """Human-readable summary of a benchmark report."""
-    engine = report["engine"]
-    idle = report["engine_idle"]
-    comp = report["composition"]
-    lines = [
-        "benchmark                      result",
-        "-----------------------------  ----------------",
-        f"engine fast path               "
-        f"{engine['fast_path']['slots_per_sec']:>12,.0f} slots/s",
-        f"engine slow-path reference     "
-        f"{engine['slow_path']['slots_per_sec']:>12,.0f} slots/s",
-        f"event-skip speedup             {engine['skip_speedup']:>12.2f} x",
-        f"engine fast path (idle-heavy)  "
-        f"{idle['fast_path']['slots_per_sec']:>12,.0f} slots/s",
-        f"engine slow path (idle-heavy)  "
-        f"{idle['slow_path']['slots_per_sec']:>12,.0f} slots/s",
-        f"event-skip speedup (idle)      {idle['skip_speedup']:>12.2f} x",
-        f"composition uncached           "
-        f"{comp['uncached']['ops_per_sec']:>12,.0f} ops/s",
-        f"composition cached             "
-        f"{comp['cached']['ops_per_sec']:>12,.0f} ops/s",
-        f"cache speedup                  {comp['cache_speedup']:>12.2f} x",
-    ]
-    sweeps = report.get("sweeps")
-    if sweeps:
-        lines += [
-            f"scaling sweep                  "
-            f"{sweeps['scaling']['seconds']:>12.3f} s",
-            f"fault-study sweep              "
-            f"{sweeps['fault_study']['seconds']:>12.3f} s",
-        ]
-    lines.append("")
-    lines.append("speedup vs seed baseline (same workloads, reference box):")
-    for name, value in sorted(report["speedup_vs_seed"].items()):
-        lines.append(f"  {name:<28} {value:>8.2f} x")
-    return "\n".join(lines)

@@ -26,11 +26,10 @@ Commands
     latency (detection, healing, delivery-ratio dip and recovery).
     ``--elastic-cells``/``--elastic-slotframes`` enable the elastic
     post-heal drain; ``--out`` exports the table as JSON.
-``bench [--slotframes N] [--no-sweeps] [--workers W] [--out FILE]``
-    Time the hot paths (engine slots/sec fast vs slow path, Algorithm-1
-    compositions/sec cold vs cached, sweep wall times) against the
-    tracked seed baseline; ``--out BENCH_perf.json`` records the
-    trajectory point.
+``bench [--sizes N ...] [--seed S] [--out FILE]``
+    The scale ladder: static allocation, a dynamics storm and an engine
+    burst at each network size; ``--out`` writes the report as JSON.
+    The repository's performance record is ``perfbench/run.py``.
 ``fuzz [--cases N] [--seed S] [--budget SECONDS] [--out FILE]``
     Conformance fuzzing: generated scenarios through every invariant
     and differential oracle; failing cases are shrunk and written to a
@@ -50,8 +49,7 @@ Commands
     across a supervised process pool with heartbeats, deadlines,
     retry/backoff, checkpoint/resume and optional seeded chaos kills
     (``--chaos``, verified against an in-process serial baseline:
-    zero lost trees, completed results bitwise-identical).  ``--bench``
-    merges a fleet section into the benchmark report.
+    zero lost trees, completed results bitwise-identical).
 """
 
 from __future__ import annotations
@@ -282,19 +280,6 @@ def cmd_roam(args: argparse.Namespace) -> int:
             json.dump(result.to_dict(), handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.out}")
-    if args.bench is not None:
-        from .bench import collect_meta, merge_report
-
-        merge_report(
-            args.bench,
-            {
-                "churn": {
-                    "meta": collect_meta(seed=args.seed),
-                    **result.to_dict(),
-                }
-            },
-        )
-        print(f"merged churn section into {args.bench}")
     # The study's contract: proactive reparenting must win on every
     # seed with a collision-free final schedule.
     regressed = any(delta <= 0 for delta in result.deltas) or any(
@@ -396,25 +381,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.out}")
-    if args.bench is not None:
-        from .bench import collect_meta, merge_report
-
-        merge_report(
-            args.bench,
-            {
-                "fleet": {
-                    "meta": collect_meta(seed=args.seed),
-                    "trees": args.trees,
-                    "nodes": args.nodes,
-                    "slotframes": args.slotframes,
-                    "workers": args.workers,
-                    "chaos_kills": len(report.chaos_kills),
-                    "workload": args.workload,
-                    **report.stats.to_dict(),
-                }
-            },
-        )
-        print(f"merged fleet section into {args.bench}")
     findings = []
     if args.chaos:
         # Chaos mode is self-verifying: the campaign must conserve
@@ -523,35 +489,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
             print(f"wrote {args.out} ({count} events)")
         return 0
 
-    if args.action == "bench":
-        from .bench import (
-            collect_meta,
-            merge_report,
-            render_workload_report,
-            run_workload_benchmark,
-        )
-
-        section = run_workload_benchmark(
-            preset=args.preset,
-            seed=args.seed,
-            frames=args.frames,
-            devices=args.devices,
-            depth=args.depth,
-        )
-        print(render_workload_report(section))
-        if args.bench is not None:
-            merge_report(
-                args.bench,
-                {
-                    "workload": {
-                        "meta": collect_meta(seed=args.seed),
-                        **section,
-                    }
-                },
-            )
-            print(f"merged workload section into {args.bench}")
-        return 0
-
     if args.trace is None:
         print(f"workload {args.action} needs --trace FILE", file=sys.stderr)
         return 2
@@ -613,38 +550,16 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        collect_meta,
-        merge_report,
-        render_report,
-        render_scale_report,
-        run_benchmarks,
-        run_scale_benchmarks,
-        write_report,
-    )
+    import json
 
-    if args.scale:
-        sizes = args.sizes or [100, 1000, 5000, 10000]
-        scale = run_scale_benchmarks(
-            sizes=sizes, seed=args.seed, arms=args.arms
-        )
-        print(render_scale_report(scale))
-        if args.out is not None:
-            merge_report(
-                args.out,
-                {"scale": scale, "meta": collect_meta(seed=args.seed)},
-            )
-            print(f"\nmerged scale section into {args.out}")
-        return 0
+    from .bench import render_scale_report, run_scale_benchmarks
 
-    report = run_benchmarks(
-        slotframes=args.slotframes,
-        include_sweeps=not args.no_sweeps,
-        workers=args.workers,
-    )
-    print(render_report(report))
+    report = run_scale_benchmarks(sizes=args.sizes, seed=args.seed)
+    print(render_scale_report(report))
     if args.out is not None:
-        write_report(report, args.out)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
         print(f"\nwrote {args.out}")
     return 0
 
@@ -727,43 +642,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(func=cmd_faults)
 
     p = sub.add_parser(
-        "bench", help="performance benchmarks with tracked baseline"
+        "bench",
+        help="scale ladder: static / storm / engine at each network size",
     )
     p.add_argument(
-        "--slotframes", type=int, default=400,
-        help="engine-benchmark horizon in slotframes",
+        "--sizes", type=int, nargs="+", default=[100, 1000, 5000, 10000],
+        help="network sizes (default: 100 1000 5000 10000)",
     )
-    p.add_argument(
-        "--no-sweeps", action="store_true",
-        help="skip the (slower) scaling / fault-study sweep timings",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the sweep benchmarks (default: cpu count)",
-    )
+    p.add_argument("--seed", type=int, default=7, help="workload seed")
     p.add_argument(
         "--out", default=None,
-        help="write the benchmark report as JSON (e.g. BENCH_perf.json)",
-    )
-    p.add_argument(
-        "--scale", action="store_true",
-        help="run the scaling suite (static / storm / engine per size) "
-        "instead of the hot-path benchmarks; --out merges the scale "
-        "section into an existing report",
-    )
-    p.add_argument(
-        "--sizes", type=int, nargs="+", default=None,
-        help="network sizes for --scale (default: 100 1000 5000 10000)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=7,
-        help="workload seed for --scale scenarios",
-    )
-    p.add_argument(
-        "--arms", nargs="+", choices=("static", "storm", "engine"),
-        default=None,
-        help="restrict which --scale arms run (default: all three); "
-        "lets a smoke job pay for exactly the arm it gates",
+        help="write the ladder report as JSON to this file",
     )
     p.set_defaults(func=cmd_bench)
 
@@ -802,11 +691,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument(
         "--out", default=None,
         help="write the study result as JSON to this file",
-    )
-    p.add_argument(
-        "--bench", default=None,
-        help="merge a churn section into this benchmark report "
-        "(e.g. BENCH_perf.json)",
     )
     p.set_defaults(func=cmd_roam)
 
@@ -881,11 +765,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--out", default=None,
         help="write the full fleet report as JSON",
     )
-    p.add_argument(
-        "--bench", default=None,
-        help="merge a fleet section into this benchmark report "
-        "(e.g. BENCH_perf.json)",
-    )
     p.set_defaults(func=cmd_fleet)
 
     p = sub.add_parser(
@@ -893,14 +772,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="synthesize, inspect and replay-certify workload traces",
     )
     p.add_argument(
-        "action", choices=("synthesize", "describe", "replay", "bench"),
+        "action", choices=("synthesize", "describe", "replay"),
         help="synthesize a preset to a trace; describe a trace; "
-        "replay-certify a trace (byte-identity + drive equivalence); "
-        "bench the engine's sustained-load throughput",
+        "replay-certify a trace (byte-identity + drive equivalence)",
     )
     p.add_argument(
         "--preset", default="mixed",
-        help="preset for synthesize/bench: steady, burst, shift_change, "
+        help="preset for synthesize: steady, burst, shift_change, "
         "churn, diurnal, mixed",
     )
     p.add_argument("--seed", type=int, default=0, help="spec seed")
@@ -929,11 +807,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument(
         "--sim-frames", type=int, default=10,
         help="replay: engine horizon for the metrics digest (0 = none)",
-    )
-    p.add_argument(
-        "--bench", default=None,
-        help="bench: merge the workload section into this benchmark "
-        "report (e.g. BENCH_perf.json)",
     )
     p.set_defaults(func=cmd_workload)
 

@@ -595,12 +595,11 @@ class TestFleetCli:
         from repro.cli import main
 
         out = tmp_path / "fleet.json"
-        bench = tmp_path / "bench.json"
         code = main([
             "fleet", "--trees", "3", "--nodes", "8", "--depth", "3",
             "--slotframes", "8", "--workers", "2", "--chaos",
             "--kills", "1", "--checkpoint-every", "3",
-            "--out", str(out), "--bench", str(bench),
+            "--out", str(out),
         ])
         captured = capsys.readouterr().out
         assert code == 0
@@ -608,10 +607,8 @@ class TestFleetCli:
         report = json.loads(out.read_text())
         assert len(report["results"]) == 3
         assert report["dead_letters"] == []
-        merged = json.loads(bench.read_text())
-        assert merged["fleet"]["completed"] == 3
-        assert "trees_per_sec" in merged["fleet"]
-        assert "meta" in merged["fleet"]
+        assert report["stats"]["completed"] == 3
+        assert "trees_per_sec" in report["stats"]
 
     def test_fleet_workload_preset_and_trace(self, tmp_path, capsys):
         from repro.cli import main

@@ -114,30 +114,6 @@ class TestAudit:
         assert "under-provisioned" in capsys.readouterr().out
 
 
-class TestBench:
-    def test_bench_renders_and_exports(self, capsys, tmp_path):
-        import json
-
-        path = str(tmp_path / "bench.json")
-        assert main([
-            "bench", "--slotframes", "5", "--no-sweeps", "--out", path,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "engine fast path" in out
-        assert f"wrote {path}" in out
-        with open(path) as handle:
-            doc = json.load(handle)
-        assert doc["schema"] == 2
-        assert "sweeps" not in doc  # --no-sweeps honoured
-        assert doc["engine"]["fast_path"]["slots_per_sec"] > 0
-        assert "composition" in doc and "speedup_vs_seed" in doc
-
-    def test_bench_rejects_bad_slotframes(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--slotframes", "many"])
-        assert exc.value.code == 2
-
-
 class TestFuzz:
     def test_clean_campaign_exits_zero(self, capsys):
         assert main(["fuzz", "--cases", "5"]) == 0
@@ -247,23 +223,58 @@ class TestFaults:
 
 
 class TestScaleBench:
-    def test_bench_scale_merges_section(self, capsys, tmp_path):
+    def test_bench_ladder_replaces_report(self, capsys, tmp_path):
+        """``--out`` writes a fresh ladder report: whatever the file
+        held before is gone, and nothing compares against a committed
+        baseline."""
         import json
 
         path = str(tmp_path / "bench.json")
         with open(path, "w") as handle:
-            json.dump({"schema": 2, "keepme": True}, handle)
-        assert main([
-            "bench", "--scale", "--sizes", "60", "--out", path,
-        ]) == 0
+            json.dump({"schema": 2, "junk": True}, handle)
+        assert main(["bench", "--sizes", "60", "--out", path]) == 0
         out = capsys.readouterr().out
         assert "nodes" in out and "storm" in out
+        assert f"wrote {path}" in out
         with open(path) as handle:
             doc = json.load(handle)
-        assert doc["keepme"] is True  # merge, not clobber
-        assert doc["scale"]["sizes"] == [60]
-        assert doc["scale"]["points"]["60"]["static"]["seconds"] > 0
+        assert "junk" not in doc and "schema" not in doc
+        assert not [key for key in doc if "baseline" in key]
+        assert doc["sizes"] == [60]
+        point = doc["points"]["60"]
+        assert point["static"]["seconds"] > 0
+        assert point["storm"]["succeeded"] == point["storm"]["ops"]
+        assert point["engine"]["slots_per_sec"] > 0
         assert doc["meta"]["python"]
+
+    def test_bench_meta_sha_is_checkout_head(self, tmp_path, monkeypatch):
+        """The recorded sha is this checkout's HEAD even when the
+        caller's working directory is elsewhere."""
+        import subprocess
+        from pathlib import Path
+
+        from repro.bench import collect_meta
+
+        root = Path(__file__).resolve().parent.parent
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, cwd=root,
+        ).stdout.strip()
+        if not head:
+            pytest.skip("not running from a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert collect_meta()["git_sha"] == head
+
+    def test_bench_rejects_retired_flags(self):
+        """The ladder takes only --sizes/--seed/--out."""
+        for argv in (
+            ["bench", "--slotframes", "5"],
+            ["bench", "--scale"],
+            ["bench", "--workers", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_profile_prints_hotspots(self, capsys):
         assert main(["profile", "static", "--size", "60", "--top", "5"]) == 0
@@ -327,17 +338,5 @@ class TestRoam:
         with open(path) as handle:
             doc = json.load(handle)
         assert doc["delta_mean"] > 0
+        assert doc["adjust_ops_per_sec"] > 0
         assert len(doc["rows"]) == 2
-
-    def test_bench_merge_adds_churn_section(self, capsys, tmp_path):
-        import json
-
-        bench = tmp_path / "bench.json"
-        bench.write_text('{"schema": 2}\n')
-        assert main([
-            "roam", "--seeds", "1", "--workers", "1",
-            "--bench", str(bench),
-        ]) == 0
-        doc = json.loads(bench.read_text())
-        assert doc["schema"] == 2  # untouched
-        assert doc["churn"]["delta_mean"] > 0

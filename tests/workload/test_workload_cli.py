@@ -51,18 +51,3 @@ class TestWorkloadCli:
 
     def test_replay_requires_trace(self, capsys):
         assert main(["workload", "replay"]) == 2
-
-    def test_bench_merges_section(self, tmp_path, capsys):
-        bench = tmp_path / "bench.json"
-        assert main([
-            "workload", "bench", "--preset", "steady", "--seed", "2",
-            "--frames", "20", "--devices", "6", "--depth", "2",
-            "--bench", str(bench),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "events/s" in out
-        merged = json.loads(bench.read_text())
-        assert merged["workload"]["preset"] == "steady"
-        assert merged["workload"]["events"] > 0
-        assert merged["workload"]["events_per_sec"] > 0
-        assert "meta" in merged["workload"]
