@@ -41,7 +41,7 @@ from ..packing.free_space import pack_with_obstacles
 from ..packing.geometry import PlacedRect, Rect
 from ..packing.rpp import can_pack
 from .component import ResourceComponent, ResourceInterface
-from .interface_gen import InterfaceTable, recompose_at
+from .interface_gen import InterfaceTable, Layout, recompose_at
 from .partition import Partition, PartitionKey, PartitionTable
 
 #: Callback regenerating one node's local link schedule after its
@@ -142,6 +142,7 @@ class PartitionAdjuster:
         self.eviction_policy = eviction_policy
         self.rng = rng or random.Random(0)
         self.composition_cache = composition_cache
+        self._undo: Optional[List[Callable[[], object]]] = None
 
     # ------------------------------------------------------------------
     # entry point
@@ -175,11 +176,8 @@ class PartitionAdjuster:
             start_slot=self.plane.now_slot,
         )
         outcome.involved_nodes.add(owner)
-        snapshot = self._snapshot(direction)
         table = self.tables[direction]
-
         current_part = self.partitions.get(owner, layer, direction)
-        self._store_component(table, owner, layer, n_slots, n_channels)
 
         # Case 1: the enlarged component still fits the current region.
         if (
@@ -187,6 +185,7 @@ class PartitionAdjuster:
             and n_slots <= current_part.region.width
             and n_channels <= current_part.region.height
         ):
+            self._store_component(table, owner, layer, n_slots, n_channels)
             outcome.case = "local-schedule"
             if layer == self.topology.node_layer(owner):
                 outcome.schedule_update_messages += self.rescheduler(
@@ -196,9 +195,33 @@ class PartitionAdjuster:
             self._finalize_depths(outcome)
             return outcome
 
-        # Case 2: climb until some ancestor accommodates the component.
+        # Case 2: climb, logging every entry the climb overwrites so a
+        # rejection can put it back.
+        self._undo = []
+        try:
+            self._store_component(table, owner, layer, n_slots, n_channels)
+            self._escalate(
+                owner, layer, direction, Rect(n_slots, n_channels, tag=owner),
+                outcome,
+            )
+        finally:
+            self._undo = None
+        outcome.end_slot = self.plane.now_slot
+        self._finalize_depths(outcome)
+        return outcome
+
+    def _escalate(
+        self,
+        owner: int,
+        layer: int,
+        direction: Direction,
+        comp_rect: Rect,
+        outcome: AdjustmentOutcome,
+    ) -> None:
+        """Climb from ``owner`` until some ancestor accommodates its
+        grown component; on rejection restore the logged state."""
+        table = self.tables[direction]
         current = owner
-        comp_rect = Rect(n_slots, n_channels, tag=owner)
         while True:
             if current == self.topology.gateway_id:
                 # The gateway's own component changed (e.g. its Case-1
@@ -206,10 +229,10 @@ class PartitionAdjuster:
                 if self._gateway_resize(direction, outcome, layer):
                     outcome.case = "gateway-local"
                 else:
-                    self._restore(direction, snapshot)
+                    self._restore()
                     outcome.success = False
                     outcome.case = "rejected"
-                break
+                return
             parent = self.topology.parent_of(current)
             outcome.put_intf_messages += 1
             outcome.layers_climbed += 1
@@ -230,7 +253,7 @@ class PartitionAdjuster:
                 outcome.case = (
                     "parent-fit" if outcome.layers_climbed == 1 else "escalated"
                 )
-                break
+                return
             if parent == self.topology.gateway_id:
                 # Only the gateway can grow a partition's region: extend
                 # its layer partition and move just the grown child in.
@@ -240,10 +263,10 @@ class PartitionAdjuster:
                 ):
                     outcome.case = "gateway-resize"
                 else:
-                    self._restore(direction, snapshot)
+                    self._restore()
                     outcome.success = False
                     outcome.case = "rejected"
-                break
+                return
             # Parent cannot fit it: recompose and forward upward.  Pass
             # the sibling partitions' in-force sizes so slack-stretched
             # branches are not shrunk beneath their interior layouts; the
@@ -255,17 +278,9 @@ class PartitionAdjuster:
                 for part in [self.partitions.get(child, layer, direction)]
                 if part is not None
             }
-            component = recompose_at(
-                self.topology, table, parent, layer,
-                self.config.num_channels, region_sizes,
-                cache=self.composition_cache,
-            )
+            component = self._recompose(table, parent, layer, region_sizes)
             comp_rect = component.to_rect()
             current = parent
-
-        outcome.end_slot = self.plane.now_slot
-        self._finalize_depths(outcome)
-        return outcome
 
     def release_component(
         self, owner: int, layer: int, direction: Direction, n_slots: int,
@@ -409,7 +424,8 @@ class PartitionAdjuster:
         parent_part = self.partitions.require(parent, layer, direction)
         region = parent_part.region
         table = self.tables[direction]
-        table.set_layout(
+        self._set_layout(
+            table,
             parent,
             layer,
             {
@@ -451,7 +467,7 @@ class PartitionAdjuster:
     ) -> None:
         """``node``'s partition at (layer, direction) becomes ``region``;
         re-derive the interior and notify affected descendants."""
-        self.partitions.set(Partition(node, layer, direction, region))
+        self._set_partition(Partition(node, layer, direction, region))
         if layer <= self.topology.node_layer(node):
             # This is the node's own scheduling block: rebuild the local
             # schedule and notify the children of their new cells.
@@ -536,11 +552,7 @@ class PartitionAdjuster:
                 for part in [self.partitions.get(child, trigger_layer, direction)]
                 if part is not None
             }
-            recompose_at(
-                self.topology, table, gateway, trigger_layer,
-                self.config.num_channels, region_sizes,
-                cache=self.composition_cache,
-            )
+            self._recompose(table, gateway, trigger_layer, region_sizes)
 
         component = table.component(gateway, trigger_layer)
         if self._gateway_relocate(direction, outcome, trigger_layer, component):
@@ -585,7 +597,7 @@ class PartitionAdjuster:
             old_region.width, 0, grown_rect.width, grown_rect.height,
             grown_child,
         )
-        table.set_layout(gateway, trigger_layer, layout)
+        self._set_layout(table, gateway, trigger_layer, layout)
         self._store_component(
             table, gateway, trigger_layer, new_width, new_height
         )
@@ -728,6 +740,10 @@ class PartitionAdjuster:
     # state management
     # ------------------------------------------------------------------
 
+    # While an escalation runs, ``self._undo`` logs one callable per
+    # overwritten entry (interface component, layout, partition) that
+    # puts the old value back; :meth:`_restore` replays them in reverse.
+
     def _store_component(
         self,
         table: InterfaceTable,
@@ -736,6 +752,7 @@ class PartitionAdjuster:
         n_slots: int,
         n_channels: int,
     ) -> None:
+        self._log_component(table, owner, layer)
         if owner not in table.interfaces:
             table.interfaces[owner] = ResourceInterface(
                 owner=owner, direction=table.direction
@@ -744,25 +761,73 @@ class PartitionAdjuster:
             ResourceComponent(owner, layer, n_slots, n_channels)
         )
 
-    def _snapshot(self, direction: Direction) -> Tuple:
-        table = self.tables[direction]
-        interfaces = {
-            node: ResourceInterface(
-                owner=iface.owner,
-                direction=iface.direction,
-                components=dict(iface.components),
-            )
-            for node, iface in table.interfaces.items()
-        }
-        layouts = {key: dict(layout) for key, layout in table.layouts.items()}
-        return (interfaces, layouts, self.partitions.copy())
+    def _recompose(
+        self,
+        table: InterfaceTable,
+        node: int,
+        layer: int,
+        region_sizes: Mapping[int, Tuple[int, int]],
+    ) -> ResourceComponent:
+        """:func:`recompose_at`, logged (it rewrites ``node``'s
+        component and layout at ``layer``)."""
+        self._log_component(table, node, layer)
+        self._log_layout(table, node, layer)
+        return recompose_at(
+            self.topology, table, node, layer,
+            self.config.num_channels, region_sizes,
+            cache=self.composition_cache,
+        )
 
-    def _restore(self, direction: Direction, snapshot: Tuple) -> None:
-        interfaces, layouts, partitions = snapshot
-        table = self.tables[direction]
-        table.interfaces = interfaces
-        table.layouts = layouts
-        self.partitions._table = partitions._table  # noqa: SLF001 - same class
+    def _set_layout(
+        self, table: InterfaceTable, node: int, layer: int, layout: Layout
+    ) -> None:
+        self._log_layout(table, node, layer)
+        table.set_layout(node, layer, layout)
+
+    def _set_partition(self, partition: Partition) -> None:
+        undo = self._undo
+        if undo is not None:
+            old = self.partitions.get(*partition.key)
+            if old is None:
+                undo.append(lambda: self.partitions.remove(*partition.key))
+            else:
+                undo.append(lambda: self.partitions.set(old))
+        self.partitions.set(partition)
+
+    def _log_component(
+        self, table: InterfaceTable, owner: int, layer: int
+    ) -> None:
+        undo = self._undo
+        if undo is None:
+            return
+        interface = table.interfaces.get(owner)
+        if interface is None:
+            undo.append(lambda: table.interfaces.pop(owner))
+            return
+        old = interface.components.get(layer)
+        if old is None:
+            undo.append(lambda: interface.components.pop(layer))
+        else:
+            undo.append(lambda: interface.add(old))
+
+    def _log_layout(self, table: InterfaceTable, node: int, layer: int) -> None:
+        undo = self._undo
+        if undo is None:
+            return
+        key = (node, layer)
+        old = table.layouts.get(key)
+        if old is None:
+            undo.append(lambda: table.layouts.pop(key))
+        else:
+            undo.append(lambda: table.set_layout(node, layer, old))
+
+    def _restore(self) -> None:
+        """Undo the running escalation.  The next certificate re-checks
+        every partition (:meth:`PartitionTable.mark_all_touched`)."""
+        undo = self._undo
+        while undo:
+            undo.pop()()
+        self.partitions.mark_all_touched()
 
     def _finalize_depths(self, outcome: AdjustmentOutcome) -> None:
         outcome._depths = [

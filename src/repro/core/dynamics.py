@@ -35,7 +35,7 @@ from ..net.topology import Direction, LinkRef, TreeTopology
 from .adjustment import AdjustmentOutcome
 from .demand import LedgerError
 from .interface_gen import generate_interfaces
-from .manager import HarpNetwork, rate_monotonic_priority
+from .manager import HarpNetwork
 
 
 @dataclass
@@ -82,10 +82,12 @@ class TopologyManager:
     Demands are maintained in O(affected links) through the network's
     :class:`~repro.core.demand.DemandLedger`, and only managers whose
     demands or schedules an op could have touched (the *dirty set*) are
-    re-checked.  The naive full-recompute/full-scan path is the test
-    reference :class:`repro.verify.reference.ReferenceTopologyManager`;
-    the property suite certifies both yield byte-identical demands and
-    schedules.
+    re-checked, and each op ends with the region-scoped certificate
+    (:meth:`HarpNetwork.certify`).  The naive full-recompute/full-scan
+    path, certified with the full :meth:`HarpNetwork.validate`, is the
+    test reference :class:`repro.verify.reference.
+    ReferenceTopologyManager`; the property suites certify both yield
+    byte-identical demands and schedules, and the same verdicts.
     """
 
     def __init__(self, harp: HarpNetwork) -> None:
@@ -195,7 +197,6 @@ class TopologyManager:
         harp.plane.topology = new_topology
         harp.adjuster.topology = new_topology
         harp.task_set = new_tasks
-        harp.priority = rate_monotonic_priority(new_tasks)
         self._update_demands(
             kind, node, old_topology, new_topology, old_tasks, new_tasks
         )
@@ -231,7 +232,7 @@ class TopologyManager:
             if not report.success:
                 raise _IncrementalFailure()
             self._verify_coverage(dirty)
-            harp.validate()
+            self._certify()
         except Exception:
             # Incremental reconfiguration failed: fall back to the full
             # static phase on the new state.
@@ -240,6 +241,11 @@ class TopologyManager:
             report.static_messages = static.total_messages
             harp.validate()
         return report
+
+    def _certify(self) -> None:
+        """Certify the op's result: the region-scoped certificate (same
+        verdict as the full one, at the cost of what the op touched)."""
+        self.harp.certify()
 
     def _update_demands(
         self,

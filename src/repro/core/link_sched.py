@@ -97,20 +97,28 @@ def partition_cells(
     partition: Partition,
     config: SlotframeConfig,
     wrap_slots: Optional[int] = None,
+    limit: Optional[int] = None,
 ) -> List[Cell]:
     """Enumerate the cells of a partition, slot-major.
 
     ``wrap_slots`` maps virtual slots beyond the data sub-frame back into
     ``[0, wrap_slots)`` — overflow mode for the Fig. 11(b) study.  In
     normal operation partitions lie inside the frame and no wrapping
-    occurs.
+    occurs.  ``limit`` stops after that many cells (the first ``limit``
+    of the full enumeration).
     """
     cells: List[Cell] = []
     region = partition.region
+    channels = range(region.y, region.y2)
+    if limit is None:
+        limit = region.area
     for slot in range(region.x, region.x2):
+        if len(cells) >= limit:
+            break
         actual_slot = slot % wrap_slots if wrap_slots else slot
-        for channel in range(region.y, region.y2):
+        for channel in channels:
             cells.append(Cell(actual_slot, channel))
+    del cells[limit:]
     return cells
 
 
@@ -133,15 +141,20 @@ def schedule_node_links(
     ``distribute_idle``, the partition's leftover cells are additionally
     dealt round-robin (priority order) as retransmission headroom — a
     node owns its partition exclusively, so using every cell is free and
-    lets lossy links drain their backlog.
+    lets lossy links drain their backlog.  Only the demanded cells are
+    enumerated unless idle ones are dealt too.
     """
-    cells = partition_cells(partition, config, wrap_slots)
     total_demand = sum(demands.values())
-    if total_demand > len(cells):
+    if total_demand > partition.capacity:
         raise ScheduleGenerationError(
             f"node {node} ({direction.value}, layer {partition.layer}): "
-            f"demand {total_demand} exceeds partition capacity {len(cells)}"
+            f"demand {total_demand} exceeds partition capacity "
+            f"{partition.capacity}"
         )
+    cells = partition_cells(
+        partition, config, wrap_slots,
+        None if distribute_idle else total_demand,
+    )
     links = sorted(
         (LinkRef(child, direction) for child in demands),
         key=lambda link: priority(topology, link),

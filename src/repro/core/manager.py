@@ -13,7 +13,8 @@ partition table, schedule and management plane — and exposes:
 * :meth:`adjuster` access for component-level requests (the Table II
   event form);
 * validation helpers asserting HARP's isolation and collision-freedom
-  guarantees.
+  guarantees: the full :meth:`HarpNetwork.validate` and the
+  region-scoped :meth:`HarpNetwork.certify` every dynamics op runs.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ from .allocation import (
 )
 from .demand import DemandLedger
 from .interface_gen import InterfaceTable, generate_interfaces
-from .link_sched import (
-    PriorityFn,
-    build_schedule,
-    rate_monotonic_priority,
-    schedule_node_links,
-)
+from .link_sched import PriorityFn, build_schedule, schedule_node_links
 from .partition import PartitionTable
 
 
@@ -104,8 +100,10 @@ class HarpNetwork:
     topology, task_set, config:
         The network under management.
     priority:
-        Link-scheduling policy for the distributed phase; defaults to
-        Rate-Monotonic over the task set (the paper's choice).
+        Link-scheduling policy for the distributed phase, kept across
+        every dynamics op; defaults to Rate-Monotonic over the task set
+        (the paper's choice), read from the demand ledger's per-link
+        minimum periods so it follows every op without a rebuild.
     allow_overflow:
         Permit allocations past the data sub-frame, wrapping virtual
         slots back into the frame (collisions accepted) — only for the
@@ -157,7 +155,6 @@ class HarpNetwork:
         self.topology = topology
         self.task_set = task_set
         self.config = config or SlotframeConfig()
-        self.priority = priority or rate_monotonic_priority(task_set)
         self.allow_overflow = allow_overflow
         self.case1_slack = case1_slack
         self.distribute_slack = distribute_slack
@@ -170,6 +167,7 @@ class HarpNetwork:
             else CompositionCache()
         )
         self.demand_ledger = DemandLedger(topology, task_set)
+        self.priority = priority or self.demand_ledger.rm_priority
         self.link_demands: Dict[LinkRef, int] = dict(
             self.demand_ledger.demands
         )
@@ -268,6 +266,9 @@ class HarpNetwork:
         schedule update when idle cells suffice, partition adjustment and
         escalation otherwise.  Managing nodes are processed deepest
         first, mirroring how queued traffic pressure appears hop by hop.
+
+        The result — applied or rolled back — is certified
+        (:meth:`certify`); a violation is a programming error and raises.
         """
         task = self.task_set.by_id(task_id)
         report = RateChangeReport(
@@ -308,12 +309,13 @@ class HarpNetwork:
                 for prev_link, prev_demand in reversed(applied):
                     self.link_demands[prev_link] = prev_demand
                     self._adjust_managing_node(prev_link)
+                self.certify()
                 return report
             applied.append((link, old_demand))
 
         self.demand_ledger.change_rate(self.topology, task, new_rate)
         self.task_set = new_task_set
-        self.priority = rate_monotonic_priority(self.task_set)
+        self.certify()
         return report
 
     def _rate_change_demands(
@@ -438,7 +440,36 @@ class HarpNetwork:
 
     def validate(self) -> None:
         """Assert HARP's invariants: partition isolation and (unless in
-        overflow mode) a collision-free schedule."""
+        overflow mode) a collision-free schedule.  The full certificate:
+        every partition and every cell."""
         self.partitions.validate_isolation(self.topology)
         if not self.allow_overflow:
             self.schedule.validate_collision_free(self.topology)
+        self._clear_journals()
+
+    def certify(self) -> None:
+        """:meth:`validate`'s verdict, checking only what changed since
+        the last certificate (the dynamics ops' certificate).
+
+        The partition table and the schedule journal what their
+        mutators touch.  A state that passed a certificate can only
+        break where it changed since, so the touched partitions (with
+        their parents, children, sibling groups and, for the gateway,
+        the top-level set) and the touched links' slots are all that is
+        checked.  A fresh table or schedule journals *everything*, so
+        the first certificate after :meth:`allocate`, :meth:`rebootstrap`
+        or a load is the full one.  When the scoped check trips, the
+        full :meth:`validate` runs and raises its exception.
+        """
+        if self.partitions.touched_isolated(self.topology) and (
+            self.allow_overflow
+            or self.schedule.touched_collision_free(self.topology)
+        ):
+            self._clear_journals()
+        else:
+            self.validate()
+
+    def _clear_journals(self) -> None:
+        self.partitions.clear_journal()
+        if self._schedule is not None:
+            self._schedule.clear_journal()

@@ -11,7 +11,7 @@ back HARP's collision-freedom argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..net.topology import Direction, TreeTopology
 from ..packing.geometry import PlacedRect
@@ -20,8 +20,10 @@ from ..packing.geometry import PlacedRect
 PartitionKey = Tuple[int, int, Direction]
 
 
-def _check_group_disjoint(group: List["Partition"]) -> None:
-    """Raise when any two partitions in ``group`` overlap.
+def _first_overlap(
+    group: List["Partition"],
+) -> Optional[Tuple["Partition", "Partition"]]:
+    """The first overlapping pair in ``group``, or None when disjoint.
 
     Sweep-line over the slot axis: after sorting by start slot, each
     partition is only compared to the still-active ones (start slot
@@ -31,7 +33,7 @@ def _check_group_disjoint(group: List["Partition"]) -> None:
     the all-pairs O(k²).
     """
     if len(group) < 2:
-        return
+        return None
     ordered = sorted(
         (p for p in group if not p.region.is_empty),
         key=lambda p: p.region.x,
@@ -49,11 +51,19 @@ def _check_group_disjoint(group: List["Partition"]) -> None:
                 region.y < o_region.y + o_region.height
                 and o_region.y < region.y + region.height
             ):
-                raise PartitionIsolationError(
-                    f"sibling partitions overlap: {other} vs {part}"
-                )
+                return other, part
         still.append(part)
         active = still
+    return None
+
+
+def _check_group_disjoint(group: List["Partition"]) -> None:
+    """Raise when any two partitions in ``group`` overlap."""
+    overlap = _first_overlap(group)
+    if overlap is not None:
+        raise PartitionIsolationError(
+            f"sibling partitions overlap: {overlap[0]} vs {overlap[1]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,14 @@ class PartitionIsolationError(RuntimeError):
 
 
 class PartitionTable:
-    """All partitions of the network, indexed by (owner, layer, direction)."""
+    """All partitions of the network, indexed by (owner, layer, direction).
+
+    :meth:`set` and :meth:`remove` journal the keys they touch, so a
+    table certified isolated can be re-certified by checking only the
+    touched partitions (:meth:`touched_isolated`).  A new table — built,
+    copied or loaded — counts every key as touched until the first
+    :meth:`clear_journal`.
+    """
 
     def __init__(self) -> None:
         self._table: Dict[PartitionKey, Partition] = {}
@@ -121,10 +138,29 @@ class PartitionTable:
         # Keeps ``of_node`` O(own partitions) instead of O(table); the
         # dynamics purge path calls it once per moved subtree member.
         self._by_owner: Dict[int, Dict[Tuple[int, Direction], Partition]] = {}
+        # Keys touched since the last clear_journal(); None = all.
+        self._journal: Optional[Set[PartitionKey]] = None
+
+    @property
+    def journal(self) -> Optional[Set[PartitionKey]]:
+        """Keys touched since the last :meth:`clear_journal`; ``None``
+        when every key counts as touched."""
+        return self._journal
+
+    def clear_journal(self) -> None:
+        """Start a new journal window (after a certificate passed)."""
+        self._journal = set()
+
+    def mark_all_touched(self) -> None:
+        """Count every key as touched: the next certificate is the full
+        one."""
+        self._journal = None
 
     def set(self, partition: Partition) -> None:
         """Insert or replace a partition."""
         self._table[partition.key] = partition
+        if self._journal is not None:
+            self._journal.add(partition.key)
         self._by_owner.setdefault(partition.owner, {})[
             (partition.layer, partition.direction)
         ] = partition
@@ -143,6 +179,8 @@ class PartitionTable:
         """Delete a partition if present."""
         removed = self._table.pop((owner, layer, direction), None)
         if removed is not None:
+            if self._journal is not None:
+                self._journal.add(removed.key)
             owned = self._by_owner[owner]
             del owned[(layer, direction)]
             if not owned:
@@ -197,13 +235,11 @@ class PartitionTable:
            across layers and directions.
         """
         gateway = topology.gateway_id
-        top = list(self._by_owner.get(gateway, {}).values())
-        for i, a in enumerate(top):
-            for b in top[i + 1:]:
-                if a.region.overlaps(b.region):
-                    raise PartitionIsolationError(
-                        f"gateway partitions overlap: {a} vs {b}"
-                    )
+        overlap = self._gateway_overlap(gateway)
+        if overlap is not None:
+            raise PartitionIsolationError(
+                f"gateway partitions overlap: {overlap[0]} vs {overlap[1]}"
+            )
 
         # Group non-gateway partitions by (parent, layer, direction) so
         # the sibling-disjointness check compares each sibling group
@@ -235,3 +271,69 @@ class PartitionTable:
             ).append(partition)
         for group in sibling_groups.values():
             _check_group_disjoint(group)
+
+    def touched_isolated(self, topology: TreeTopology) -> bool:
+        """:meth:`validate_isolation`'s checks restricted to the
+        journalled keys: each touched partition lies in its parent's and
+        holds its children's, each touched sibling group is disjoint,
+        and — when a gateway key was touched — the gateway's top-level
+        partitions are pairwise disjoint.
+
+        Every isolation invariant relates a partition to its parent, its
+        siblings or (for the gateway) its top-level peers, so on a table
+        that was isolated when the window opened this gives the full
+        check's verdict.  Returns False on a violation or when the
+        journal covers everything (the caller then runs the full check).
+        """
+        if self._journal is None:
+            return False
+        gateway = topology.gateway_id
+        parent_map = topology.parent_map
+        table = self._table
+        groups: Set[Tuple[int, int, Direction]] = set()
+        gateway_touched = False
+        for key in self._journal:
+            owner, layer, direction = key
+            part = table.get(key)
+            if owner == gateway:
+                gateway_touched = True
+            elif part is not None:
+                parent = parent_map.get(owner)
+                if parent is None:
+                    return False  # stale owner: the full check says why
+                parent_part = table.get((parent, layer, direction))
+                if parent_part is None or not parent_part.region.contains(
+                    part.region
+                ):
+                    return False
+                groups.add((parent, layer, direction))
+            if owner in topology:
+                for child in topology.children_of(owner):
+                    child_part = table.get((child, layer, direction))
+                    if child_part is not None and (
+                        part is None
+                        or not part.region.contains(child_part.region)
+                    ):
+                        return False
+        for parent, layer, direction in groups:
+            group = [
+                sibling
+                for child in topology.children_of(parent)
+                for sibling in [table.get((child, layer, direction))]
+                if sibling is not None
+            ]
+            if _first_overlap(group) is not None:
+                return False
+        return not gateway_touched or self._gateway_overlap(gateway) is None
+
+    def _gateway_overlap(
+        self, gateway: int
+    ) -> Optional[Tuple[Partition, Partition]]:
+        """The first overlapping pair of the gateway's top-level
+        partitions (across layers and directions), or None."""
+        top = list(self._by_owner.get(gateway, {}).values())
+        for i, a in enumerate(top):
+            for b in top[i + 1:]:
+                if a.region.overlaps(b.region):
+                    return a, b
+        return None

@@ -15,8 +15,11 @@ sub-frame (enhanced beacons, RPL, keep-alives and HARP messages); the
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import (
+    DefaultDict, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from .topology import LinkRef, TreeTopology
 
@@ -120,12 +123,24 @@ class Schedule:
     Multiple links may occupy the same cell (baseline schedulers do not
     coordinate); conflict analysis is separate so both collision-free and
     colliding schedules can be represented and measured.
+
+    :meth:`assign` and :meth:`remove_link` journal the links they touch,
+    so a schedule certified collision-free can be re-certified by
+    checking only the touched links' slots
+    (:meth:`touched_collision_free`).  A new schedule — built, copied or
+    loaded — counts every link as touched until the first
+    :meth:`clear_journal`.
     """
 
     def __init__(self, config: SlotframeConfig) -> None:
         self.config = config
         self._by_cell: Dict[Cell, List[LinkRef]] = {}
         self._by_link: Dict[LinkRef, List[Cell]] = {}
+        # Occupied cells per slot (the conflict neighbourhood of a
+        # cell), built on first use by :meth:`_slot_index`.
+        self._by_slot: Optional[DefaultDict[int, Set[Cell]]] = None
+        # Links touched since the last clear_journal(); None = all.
+        self._journal: Optional[Set[LinkRef]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -134,26 +149,66 @@ class Schedule:
     def assign(self, cell: Cell, link: LinkRef) -> None:
         """Assign ``cell`` to ``link`` (duplicates for the same pair are
         rejected; different links sharing a cell are allowed)."""
-        if not self.config.contains(cell):
-            raise ValueError(f"cell {cell} outside the slotframe {self.config}")
-        users = self._by_cell.setdefault(cell, [])
-        if link in users:
-            raise ValueError(f"cell {cell} already assigned to {link}")
-        users.append(link)
-        self._by_link.setdefault(link, []).append(cell)
+        self.assign_many((cell,), link)
 
     def assign_many(self, cells: Iterable[Cell], link: LinkRef) -> None:
-        """Assign each cell in ``cells`` to ``link``."""
+        """Assign each cell in ``cells`` to ``link``, in order."""
+        contains = self.config.contains
+        by_cell = self._by_cell
+        by_slot = self._by_slot
+        owned = None
         for cell in cells:
-            self.assign(cell, link)
+            if not contains(cell):
+                raise ValueError(
+                    f"cell {cell} outside the slotframe {self.config}"
+                )
+            users = by_cell.get(cell)
+            if users is None:
+                users = by_cell[cell] = []
+                if by_slot is not None:
+                    by_slot[cell.slot].add(cell)
+            elif link in users:
+                raise ValueError(f"cell {cell} already assigned to {link}")
+            users.append(link)
+            if owned is None:
+                owned = self._by_link.setdefault(link, [])
+                if self._journal is not None:
+                    self._journal.add(link)
+            owned.append(cell)
 
     def remove_link(self, link: LinkRef) -> None:
         """Remove every assignment of ``link`` (dynamic cell release)."""
+        if self._journal is not None:
+            self._journal.add(link)
         for cell in self._by_link.pop(link, []):
             users = self._by_cell[cell]
             users.remove(link)
             if not users:
                 del self._by_cell[cell]
+                if self._by_slot is not None:
+                    occupied = self._by_slot[cell.slot]
+                    occupied.discard(cell)
+                    if not occupied:
+                        del self._by_slot[cell.slot]
+
+    def _slot_index(self) -> DefaultDict[int, Set[Cell]]:
+        """Occupied cells per slot; built on first use, then kept up to
+        date by :meth:`assign_many` and :meth:`remove_link`."""
+        if self._by_slot is None:
+            self._by_slot = defaultdict(set)
+            for cell in self._by_cell:
+                self._by_slot[cell.slot].add(cell)
+        return self._by_slot
+
+    @property
+    def journal(self) -> Optional[Set[LinkRef]]:
+        """Links touched since the last :meth:`clear_journal`; ``None``
+        when every link counts as touched."""
+        return self._journal
+
+    def clear_journal(self) -> None:
+        """Start a new journal window (after a certificate passed)."""
+        self._journal = set()
 
     # ------------------------------------------------------------------
     # queries
@@ -286,6 +341,49 @@ class Schedule:
         report = self.conflicts(topology)
         if not report.is_collision_free:
             raise ScheduleConflictError(report)
+
+    def touched_collision_free(self, topology: TreeTopology) -> bool:
+        """The clean-case scan of :meth:`validate_collision_free`,
+        restricted to the slots where a journalled link holds a cell.
+
+        Every conflict involves one slot, and a conflict the journal
+        window introduced involves a cell of a touched link, so on a
+        schedule that was collision-free when the window opened this
+        gives the full check's verdict.  Returns False on a conflict or
+        when the journal covers everything (the caller then runs the
+        full check).
+        """
+        if self._journal is None:
+            return False
+        by_link = self._by_link
+        slots = {
+            cell.slot
+            for link in self._journal
+            for cell in by_link.get(link, ())
+        }
+        by_cell = self._by_cell
+        by_slot = self._slot_index()
+        parent_map = topology.parent_map
+        for slot in slots:
+            occupied = by_slot[slot]
+            # A node conflict needs two cells in the slot.
+            active: Optional[Dict[int, Cell]] = (
+                {} if len(occupied) > 1 else None
+            )
+            for cell in occupied:
+                users = by_cell[cell]
+                if len(users) != 1:
+                    return False
+                child = users[0].child
+                parent = parent_map.get(child)
+                if parent is None:
+                    return False  # not a tree link: the full check says why
+                if active is not None and (
+                    active.setdefault(child, cell) != cell
+                    or active.setdefault(parent, cell) != cell
+                ):
+                    return False
+        return True
 
 
 class ScheduleConflictError(RuntimeError):

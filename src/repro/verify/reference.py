@@ -6,10 +6,10 @@ here, used only by the equivalence tests and the engine benchmark:
 * :func:`run_slots_stepped` — the engine stepped slot by slot, the
   reference for :meth:`TSCHSimulator.run_slots`' event skipping;
 * :class:`ReferenceHarpNetwork` / :class:`ReferenceTopologyManager` —
-  per-link demands recomputed from scratch after every op and every
-  manager re-checked, the reference for the
-  :class:`~repro.core.demand.DemandLedger` deltas and the dirty-set
-  reconciliation.
+  per-link demands recomputed from scratch after every op, every
+  manager re-checked and the full certificate run, the reference for
+  the :class:`~repro.core.demand.DemandLedger` deltas, the dirty-set
+  reconciliation and the region-scoped certificate.
 
 Both pairs must agree byte-for-byte (``tests/net/test_engine_fastpath.py``
 and ``tests/properties/test_demand_equivalence.py``).
@@ -48,7 +48,10 @@ def run_slotframes_stepped(
 
 class ReferenceHarpNetwork(HarpNetwork):
     """A :class:`HarpNetwork` whose rate changes recompute every link's
-    demand from the whole task set."""
+    demand from the whole task set and run the full certificate."""
+
+    def certify(self) -> None:
+        self.validate()
 
     def _rate_change_demands(
         self, task: Task, new_rate: float, new_task_set: TaskSet
@@ -57,8 +60,12 @@ class ReferenceHarpNetwork(HarpNetwork):
 
 
 class ReferenceTopologyManager(TopologyManager):
-    """A :class:`TopologyManager` that recomputes demands from scratch
-    and reconciles and verifies every manager, ignoring the dirty set."""
+    """A :class:`TopologyManager` that recomputes demands from scratch,
+    reconciles and verifies every manager, ignoring the dirty set, and
+    certifies every op with the full :meth:`HarpNetwork.validate`."""
+
+    def _certify(self) -> None:
+        self.harp.validate()
 
     def _update_demands(
         self,

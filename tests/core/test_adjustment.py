@@ -1,5 +1,7 @@
 """Unit tests for dynamic partition adjustment (Sec. V, Alg. 2)."""
 
+import copy
+
 import pytest
 
 from repro.core.manager import HarpNetwork
@@ -166,3 +168,49 @@ class TestScaleScenario:
                 grown += 1
             harp.validate()
         assert grown > 0
+
+
+class TestRejectionRollback:
+    """A rejected escalation undoes every entry it overwrote."""
+
+    @staticmethod
+    def _state(harp):
+        """Every table the adjuster writes, dict orders included."""
+        tables = {
+            direction: (
+                [
+                    (node, list(iface.components.items()))
+                    for node, iface in table.interfaces.items()
+                ],
+                [
+                    (key, list(layout.items()))
+                    for key, layout in table.layouts.items()
+                ],
+            )
+            for direction, table in harp.tables.items()
+        }
+        partitions = harp.partitions
+        return copy.deepcopy((
+            tables,
+            list(partitions._table.items()),
+            [
+                (owner, list(owned.items()))
+                for owner, owned in partitions._by_owner.items()
+            ],
+        ))
+
+    @pytest.mark.parametrize("direction", [Direction.UP, Direction.DOWN])
+    def test_gateway_rejection_restores_every_table(self, tree, direction):
+        harp = make_harp(tree)
+        before = self._state(harp)
+        # Node 3's own row, far wider than the frame: the request climbs
+        # through node 1 (recomposing it) and the gateway rejects it.
+        outcome = harp.adjuster.request_component_increase(
+            3, 3, direction, harp.config.data_slots + 5
+        )
+        assert not outcome.success and outcome.case == "rejected"
+        assert outcome.layers_climbed == 2
+        after = self._state(harp)
+        assert after == before
+        assert before == after
+        harp.validate()

@@ -1,11 +1,14 @@
 """Unit tests for distributed schedule generation (Sec. IV-D)."""
 
+import random
+
 import pytest
 
 from repro.core.allocation import allocate_partitions
 from repro.core.interface_gen import generate_interfaces
 from repro.core.link_sched import (
     ScheduleGenerationError,
+    _interleaved_assignment,
     build_schedule,
     edf_priority,
     id_priority,
@@ -96,6 +99,79 @@ class TestScheduleNodeLinks:
                 tree, 0, Direction.UP, part, {1: 2, 2: 2}, config,
                 id_priority(),
             )
+
+
+def _full_enumeration_schedule(
+    topology, node, direction, partition, demands, config, priority,
+    wrap_slots, distribute_idle, interleave,
+):
+    """``schedule_node_links`` as it was before demand-sized
+    enumeration: every cell of the partition is enumerated first."""
+    cells = partition_cells(partition, config, wrap_slots)
+    links = sorted(
+        (LinkRef(child, direction) for child in demands),
+        key=lambda link: priority(topology, link),
+    )
+    total = sum(demands.values())
+    if interleave:
+        assignment = _interleaved_assignment(links, demands, cells)
+    else:
+        assignment, cursor = {}, 0
+        for link in links:
+            assignment[link.child] = cells[cursor:cursor + demands[link.child]]
+            cursor += demands[link.child]
+    if distribute_idle and links:
+        for i, cell in enumerate(cells[total:]):
+            assignment[links[i % len(links)].child].append(cell)
+    return assignment
+
+
+class TestDemandSizedEnumeration:
+    """Enumerating only the demanded cells changes no assignment."""
+
+    @pytest.mark.parametrize("wrap_slots", [None, 9])
+    @pytest.mark.parametrize("interleave", [False, True])
+    @pytest.mark.parametrize("distribute_idle", [False, True])
+    def test_identical_to_full_enumeration(
+        self, tree, config, wrap_slots, interleave, distribute_idle
+    ):
+        rng = random.Random(11)
+        for _ in range(40):
+            region = PlacedRect(
+                rng.randrange(0, 30), rng.randrange(0, 4),
+                rng.randrange(1, 10), rng.randrange(1, 5),
+            )
+            part = Partition(0, 1, Direction.UP, region)
+            demands = {
+                child: rng.randrange(0, 6) for child in (1, 2)
+            }
+            demands = {c: n for c, n in demands.items() if n}
+            if sum(demands.values()) > region.area:
+                continue
+            args = (
+                tree, 0, Direction.UP, part, demands, config, id_priority(),
+                wrap_slots, distribute_idle, interleave,
+            )
+            assert schedule_node_links(*args) == (
+                _full_enumeration_schedule(*args)
+            )
+
+    def test_limit_is_a_prefix_of_the_full_enumeration(self, config):
+        part = Partition(0, 1, Direction.UP, PlacedRect(3, 1, 5, 3))
+        full = partition_cells(part, config, wrap_slots=6)
+        for limit in range(0, part.capacity + 1):
+            assert partition_cells(part, config, 6, limit) == full[:limit]
+
+    def test_over_capacity_error_text_unchanged(self, tree, config):
+        part = Partition(0, 1, Direction.UP, PlacedRect(0, 0, 2, 1))
+        with pytest.raises(ScheduleGenerationError) as err:
+            schedule_node_links(
+                tree, 0, Direction.UP, part, {1: 2, 2: 2}, config,
+                id_priority(),
+            )
+        assert str(err.value) == (
+            "node 0 (up, layer 1): demand 4 exceeds partition capacity 2"
+        )
 
 
 class TestBuildSchedule:

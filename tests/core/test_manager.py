@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.dynamics import TopologyManager
+from repro.core.link_sched import id_priority
 from repro.core.manager import HarpNetwork
-from repro.net.slotframe import SlotframeConfig
-from repro.net.tasks import e2e_task_per_node, tasks_on_nodes
+from repro.net.slotframe import ScheduleConflictError, SlotframeConfig
+from repro.net.tasks import Task, TaskSet, e2e_task_per_node, tasks_on_nodes
 from repro.net.topology import Direction, LinkRef, TreeTopology
 
 
@@ -136,3 +138,74 @@ class TestSlackBehaviour:
         assert report.success
         assert report.partition_messages > 0
         harp.validate()
+
+
+class TestCallerPriority:
+    """A caller's ``priority=`` survives dynamics ops (RM used to replace
+    it after the first one)."""
+
+    @staticmethod
+    def _cell_order(harp, node, direction):
+        """``node``'s children in the order of their first cells."""
+        first = {
+            child: harp.schedule.cells_of(LinkRef(child, direction))
+            for child in harp.topology.children_of(node)
+        }
+        return sorted((c for c in first if first[c]), key=lambda c: first[c][0])
+
+    def test_id_priority_kept_after_rate_change_and_attach(self, config):
+        tree = TreeTopology({1: 0, 2: 0})
+        # Child 2 has the shorter period: RM would schedule it first.
+        tasks = TaskSet([
+            Task(task_id=1, source=1, rate=1.0),
+            Task(task_id=2, source=2, rate=2.0),
+        ])
+        priority = id_priority()
+        harp = HarpNetwork(tree, tasks, config, priority=priority)
+        harp.allocate()
+        assert self._cell_order(harp, 0, Direction.UP) == [1, 2]
+
+        assert harp.request_rate_change(2, 3.0).success
+        assert harp.priority is priority
+        assert self._cell_order(harp, 0, Direction.UP) == [1, 2]
+
+        report = TopologyManager(harp).attach(
+            3, 0, Task(task_id=3, source=3, rate=4.0)
+        )
+        assert report.success and not report.rebootstrapped
+        assert harp.priority is priority
+        for direction in (Direction.UP, Direction.DOWN):
+            assert self._cell_order(harp, 0, direction) == [1, 2, 3]
+        harp.validate()
+
+
+class TestRateChangeCertificate:
+    def test_rate_change_runs_the_scoped_certificate(self, tree, config):
+        harp = HarpNetwork(tree, e2e_task_per_node(tree), config)
+        harp.allocate()
+        harp.validate()
+        harp.request_rate_change(5, 2.0)
+        # A passing certificate closed the journal window.
+        assert harp.partitions.journal == set()
+        assert harp.schedule.journal == set()
+
+    def test_violation_after_rate_change_raises(self, tree, config):
+        harp = HarpNetwork(tree, e2e_task_per_node(tree), config)
+        harp.allocate()
+        harp.validate()
+        # A programming error that double-books a cell of a link the
+        # rate change reschedules must surface, not be absorbed.
+        original = harp._reschedule_node
+
+        def buggy(node, direction):
+            changed = original(node, direction)
+            link = LinkRef(5, direction)
+            cells = harp.schedule.cells_of(link)
+            if node == 3 and cells:
+                harp.schedule.assign(cells[0], LinkRef(4, direction))
+            return changed
+
+        harp._reschedule_node = buggy
+        harp._adjuster.rescheduler = buggy
+        with pytest.raises(ScheduleConflictError):
+            harp.request_rate_change(5, 2.0)
